@@ -25,8 +25,6 @@ constexpr auto kLeadIn = std::chrono::milliseconds(10);
 // Poll period of the in-process replay's completion check.
 constexpr auto kPollPeriod = std::chrono::microseconds(100);
 constexpr size_t kSampleResponses = 4096;
-// Latencies kept per connection (a uniform sample beyond this many).
-constexpr size_t kLatencySamples = 1 << 16;
 
 // Reads one '\n'-terminated frame; `carry` keeps bytes read past it.
 // False on EOF, error, or a silent connection.
@@ -49,13 +47,11 @@ bool ReadFrame(const Socket& sock, std::string* carry, std::string* line) {
 
 // What one connection saw; merged into the WirePass after the join.
 struct ConnTally {
-  explicit ConnTally(size_t conn) : latency_ms(kLatencySamples, conn + 1) {}
-
   uint64_t attempted = 0;
   uint64_t ok = 0;
   uint64_t err = 0;
   uint64_t sent = 0;
-  Reservoir latency_ms;
+  std::vector<double> latency_ms;
   std::vector<double> send_lag_ms;
   AnswerMap answers;
   std::vector<std::string> lines;
@@ -74,7 +70,7 @@ void HandleFrame(const std::string& frame, uint32_t rect, double latency_ms,
     }
     if (fields == 5) {
       NoteAnswer(&tally->answers, rect, frame.substr(3, third_space - 3));
-      tally->latency_ms.Add(latency_ms);
+      tally->latency_ms.push_back(latency_ms);
       ++tally->ok;
       return;
     }
@@ -243,8 +239,7 @@ std::string AnswerTokens(const maxrs::MaxRSResult& result) {
 WirePass RunWirePass(const WorkloadConfig& config, const QueryPlan& plan,
                      double seconds, const std::vector<Socket>& conns,
                      Tracer& tracer, bool keep_request_lines) {
-  std::vector<ConnTally> tallies;
-  for (size_t c = 0; c < conns.size(); ++c) tallies.emplace_back(c);
+  std::vector<ConnTally> tallies(conns.size());
   const double cpu_before = ProcessCpuSeconds();
   const Clock::time_point t0 = Clock::now() + kLeadIn;
   const Clock::time_point end =
@@ -271,9 +266,8 @@ WirePass RunWirePass(const WorkloadConfig& config, const QueryPlan& plan,
     pass.attempted += tally.attempted;
     pass.ok += tally.ok;
     pass.err_frames += tally.err;
-    pass.latency_ms.insert(pass.latency_ms.end(),
-                           tally.latency_ms.values().begin(),
-                           tally.latency_ms.values().end());
+    pass.latency_ms.insert(pass.latency_ms.end(), tally.latency_ms.begin(),
+                           tally.latency_ms.end());
     pass.send_lag_ms.insert(pass.send_lag_ms.end(), tally.send_lag_ms.begin(),
                             tally.send_lag_ms.end());
     pass.sent_per_conn.push_back(tally.sent);
@@ -301,7 +295,6 @@ InProcessPass RunInProcessPass(const WorkloadConfig& config,
       const bool open = config.load != LoadKind::kClosed;
       const uint64_t total = open ? plan.open()[c].size() : sent_per_conn[c];
       InProcessPass& part = parts[c];
-      Reservoir latencies(kLatencySamples, c + 1);
       part.attempted = total;
       struct InFlight {
         std::future<Result<QueryResponse>> future;
@@ -354,7 +347,7 @@ InProcessPass RunInProcessPass(const WorkloadConfig& config,
           if (response.ok()) {
             const QueryResponse& r = response.value();
             const double latency = Millis(it->from, done);
-            latencies.Add(latency);
+            part.latency_ms.push_back(latency);
             NoteAnswer(&part.answers, it->rect, AnswerTokens(r.result));
             if (r.served_from == maxrs::ServedFrom::kExecuted) {
               const double exec = r.result.stats.wall_seconds * 1e3;
@@ -377,7 +370,6 @@ InProcessPass RunInProcessPass(const WorkloadConfig& config,
         }
         if (!progressed) std::this_thread::sleep_for(kPollPeriod);
       }
-      part.latency_ms = latencies.values();
     });
   }
   for (std::thread& t : threads) t.join();

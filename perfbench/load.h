@@ -42,8 +42,7 @@ struct WirePass {
   uint64_t err_frames = 0;  ///< ERR frames received.
   uint64_t missing = 0;     ///< Requests never answered (connection lost).
   /// Per OK frame: response arrival minus the due time (open loop) or the
-  /// actual send (closed loop). A uniform sample of 65536 per connection
-  /// when a connection answers more.
+  /// actual send (closed loop).
   std::vector<double> latency_ms;
   /// Open loop: actual send minus due time, per request.
   std::vector<double> send_lag_ms;
@@ -69,8 +68,7 @@ struct InProcessPass {
   uint64_t attempted = 0;
   uint64_t failed = 0;  ///< Responses with a non-OK status.
   /// Per answered query: completion minus due time (open loop) or submit
-  /// time (closed loop), observed by polling every 100 us. A uniform
-  /// sample of 65536 per connection when a connection answers more.
+  /// time (closed loop), observed by polling every 100 us.
   std::vector<double> latency_ms;
   /// Executed queries only: latency minus result.stats.wall_seconds.
   std::vector<double> queue_wait_ms;

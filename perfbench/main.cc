@@ -7,17 +7,14 @@
 //
 //   maxrs_perfbench --workload uniform_cold --seed 1 --seconds 15 --trace 0
 //
-// --trace 0 prints the end-to-end metrics of the untraced pass (on a
-// workload with sub_passes, the medians over its passes). --trace 1 makes
-// an untraced pass, a traced pass on a fresh server, and an in-process
+// --trace 0 prints the end-to-end metrics of the untraced pass. --trace 1
+// makes an untraced pass, a traced pass on a fresh server, and an in-process
 // replay of the same plan, each a third of --seconds long, and prints the
 // per-layer metrics (perfbench/README.md defines every metric). The last
 // line of stdout is one JSON object: {"correct", "attempted", "failed",
 // "metrics"}. Exit codes: 0 done; 1 the stack failed to start; 2 bad
 // arguments; 3 the run is invalid (the load generator ran late, or the
 // serving counters show the workload did not exercise what it claims).
-#include <malloc.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
@@ -116,9 +113,9 @@ struct Deployment {
 
   // Starts a fresh server; with `wire`, also the listener and one client
   // connection per workload connection. Answers the warm set before
-  // returning and reports how long that took.
+  // returning.
   Status StartServing(const WorkloadConfig& config, const QueryPlan& plan,
-                      bool wire, double* warm_s) {
+                      bool wire) {
     StopServing();
     maxrs::MaxRSServerOptions options;
     options.num_workers = kServerWorkers;
@@ -130,12 +127,13 @@ struct Deployment {
                                                maxrs::NetServerOptions{});
       Status started = net->Start();
       if (!started.ok()) return started;
-      Status connected = Connect(config);
-      if (!connected.ok()) return connected;
+      for (size_t c = 0; c < config.connections; ++c) {
+        maxrs::Result<maxrs::Socket> sock =
+            maxrs::ConnectLoopback(net->port());
+        if (!sock.ok()) return sock.status();
+        conns.push_back(std::move(sock).value());
+      }
     }
-    *warm_s = 0.0;
-    if (plan.WarmSet().empty()) return Status::OK();
-    const Clock::time_point warm_start = Clock::now();
     std::vector<std::future<maxrs::Result<maxrs::QueryResponse>>> warming;
     for (const uint32_t r : plan.WarmSet()) {
       maxrs::QuerySpec spec;
@@ -146,19 +144,6 @@ struct Deployment {
     for (auto& future : warming) {
       maxrs::Result<maxrs::QueryResponse> warmed = future.get();
       if (!warmed.ok()) return warmed.status();
-    }
-    *warm_s = Millis(warm_start, Clock::now()) / 1e3;
-    return Status::OK();
-  }
-
-  // Closes the client connections, if any, and opens one per workload
-  // connection to the running listener.
-  Status Connect(const WorkloadConfig& config) {
-    conns.clear();
-    for (size_t c = 0; c < config.connections; ++c) {
-      maxrs::Result<maxrs::Socket> sock = maxrs::ConnectLoopback(net->port());
-      if (!sock.ok()) return sock.status();
-      conns.push_back(std::move(sock).value());
     }
     return Status::OK();
   }
@@ -505,7 +490,7 @@ int Run(const Args& args) {
 
   // Set-up, made setup_reps times on fresh Envs; the last one serves the
   // run. Staging the generated objects into the Env is not set-up.
-  std::vector<double> setup_s, warm_s;
+  std::vector<double> setup_s;
   std::unique_ptr<Deployment> deployment;
   for (size_t rep = 0; rep < config->setup_reps; ++rep) {
     deployment.reset();
@@ -525,44 +510,30 @@ int Run(const Args& args) {
       return 1;
     }
     d->dataset.emplace(std::move(handle).value());
-    double warm = 0.0;
-    const Status serving = d->StartServing(*config, plan, /*wire=*/true, &warm);
+    const Status serving = d->StartServing(*config, plan, /*wire=*/true);
     if (!serving.ok()) {
       std::fprintf(stderr, "serving failed: %s\n", serving.ToString().c_str());
       return 1;
     }
     setup_s.push_back(Millis(start, Clock::now()) / 1e3);
-    warm_s.push_back(warm);
     deployment = std::move(d);
   }
   Deployment& d = *deployment;
   const size_t shards = d.dataset->shards().size();
 
-  // The untraced passes: the end-to-end numbers.
-  const size_t plain_count = args.trace ? 1 : config->sub_passes;
-  std::vector<ObservedPass> plain(plain_count);
-  for (size_t k = 0; k < plain_count; ++k) {
-    const Status connected = k == 0 ? Status::OK() : d.Connect(*config);
-    if (!connected.ok()) {
-      std::fprintf(stderr, "connect failed: %s\n",
-                   connected.ToString().c_str());
-      return 1;
-    }
-    plain[k] = ObservePass(d, *config, plan, pass_seconds / plain_count, off,
-                           /*sample_depth=*/false);
-  }
+  // The untraced pass: the end-to-end numbers.
+  const ObservedPass plain = ObservePass(d, *config, plan, pass_seconds, off,
+                                         /*sample_depth=*/false);
   const double peak_rss_mb = PeakRssMb();
 
-  std::vector<const ObservedPass*> wire_passes;
-  for (const ObservedPass& pass : plain) wire_passes.push_back(&pass);
+  std::vector<const ObservedPass*> wire_passes = {&plain};
   ObservedPass traced;
   InProcessPass replay;
   IoProbe io_probe;
   double protocol_us = 0.0, crc_us = 0.0;
   if (args.trace) {
     const auto restart = [&](bool wire) {
-      double warm = 0.0;
-      const Status serving = d.StartServing(*config, plan, wire, &warm);
+      const Status serving = d.StartServing(*config, plan, wire);
       if (!serving.ok()) {
         std::fprintf(stderr, "serving failed: %s\n",
                      serving.ToString().c_str());
@@ -627,31 +598,17 @@ int Run(const Args& args) {
     return 3;
   }
 
-  const auto e2e_of = [](const WirePass& w) {
-    return std::vector<double>{
-        Ratio(static_cast<double>(w.ok), w.elapsed_s),
-        Quantile(w.latency_ms, 0.5), Quantile(w.latency_ms, 0.95),
-        Ratio(w.cpu_s * 1e3, static_cast<double>(w.ok))};
-  };
   std::vector<Metric> metrics;
   if (!args.trace) {
-    std::vector<std::vector<double>> per_pass(4);
-    for (const ObservedPass& pass : plain) {
-      const std::vector<double> values = e2e_of(pass.wire);
-      for (size_t i = 0; i < values.size(); ++i) {
-        per_pass[i].push_back(values[i]);
-      }
-    }
-    std::vector<double> e2e;
-    for (const std::vector<double>& values : per_pass) {
-      e2e.push_back(Median(values));
-    }
-    metrics = {{"qps", e2e[0], "1/s"},
-               {"latency_p50_ms", e2e[1], "ms"},
-               {"latency_p95_ms", e2e[2], "ms"},
-               {"cpu_ms_per_query", e2e[3], "ms"},
-               {"peak_rss_mb", peak_rss_mb, "MiB"},
-               {"setup_s", Median(setup_s), "s"}};
+    const WirePass& w = plain.wire;
+    metrics = {
+        {"qps", Ratio(static_cast<double>(w.ok), w.elapsed_s), "1/s"},
+        {"latency_p50_ms", Quantile(w.latency_ms, 0.5), "ms"},
+        {"latency_p95_ms", Quantile(w.latency_ms, 0.95), "ms"},
+        {"cpu_ms_per_query", Ratio(w.cpu_s * 1e3, static_cast<double>(w.ok)),
+         "ms"},
+        {"peak_rss_mb", peak_rss_mb, "MiB"},
+        {"setup_s", Median(setup_s), "s"}};
   } else {
     const WirePass& w = traced.wire;
     const ServerCounters& c = traced.counters;
@@ -691,7 +648,6 @@ int Run(const Args& args) {
         {"serve.failed", static_cast<double>(c.failed), "count"},
         {"serve.degraded", static_cast<double>(c.degraded), "count"},
         {"serve.deadlines", static_cast<double>(c.deadlines), "count"},
-        {"serve.warmup_s", Median(warm_s), "s"},
         {"core.oneshot_ms_p50", Median(verdict.oneshot_ms), "ms"},
         {"core.base_cases", base_cases_per_query, "count"},
         {"core.merges", Ratio(static_cast<double>(replay.merges), executed),
@@ -722,7 +678,7 @@ int Run(const Args& args) {
         {"ingest.blocks", static_cast<double>(ingest.io.total()), "blocks"},
         {"driver.send_lag_ms_p95", Quantile(w.send_lag_ms, 0.95), "ms"},
         {"trace.overhead_frac",
-         Ratio(wire_p50, Quantile(plain[0].wire.latency_ms, 0.5)) - 1.0,
+         Ratio(wire_p50, Quantile(plain.wire.latency_ms, 0.5)) - 1.0,
          "fraction"},
         {"failed_frac",
          Ratio(static_cast<double>(failed), static_cast<double>(attempted)),
@@ -732,8 +688,7 @@ int Run(const Args& args) {
       std::fprintf(stderr, "cannot write %s\n", args.trace_out.c_str());
       return 1;
     }
-    std::fprintf(stderr, "%zu spans kept (%" PRIu64 " past the cap)%s%s\n",
-                 tracer.size(), tracer.dropped(),
+    std::fprintf(stderr, "%zu spans recorded%s%s\n", tracer.size(),
                  args.trace_out.empty() ? "" : ", written to ",
                  args.trace_out.c_str());
   }
@@ -745,11 +700,6 @@ int Run(const Args& args) {
 }  // namespace perfbench
 
 int main(int argc, char** argv) {
-  // One malloc arena for the whole process: with glibc's default of one
-  // arena per thread, how much freed memory each worker's arena keeps
-  // depends on scheduling, and peak RSS varied by a third between runs of
-  // the same inputs. With one arena it repeats to within 1%.
-  mallopt(M_ARENA_MAX, 1);
   perfbench::Args args;
   if (!perfbench::ParseArgs(argc, argv, &args)) {
     std::fprintf(stderr,

@@ -4,11 +4,7 @@
 #define MAXRS_PERFBENCH_MEASURE_H_
 
 #include <chrono>
-#include <cstddef>
-#include <cstdint>
 #include <vector>
-
-#include "util/rng.h"
 
 namespace perfbench {
 
@@ -28,34 +24,6 @@ double PeakRssMb();
 /// The q-quantile (0 <= q <= 1) of `values` by linear interpolation
 /// between closest ranks; 0 for an empty sample. Sorts a copy.
 double Quantile(std::vector<double> values, double q);
-
-/// A uniform random sample of at most `capacity` values from a stream
-/// (Vitter's Algorithm R), so a run's memory does not grow with its
-/// throughput. Below `capacity` values it holds every value.
-class Reservoir {
- public:
-  Reservoir(size_t capacity, uint64_t seed) : capacity_(capacity), rng_(seed) {
-    values_.reserve(capacity);
-  }
-
-  void Add(double value) {
-    ++seen_;
-    if (values_.size() < capacity_) {
-      values_.push_back(value);
-      return;
-    }
-    const uint64_t slot = rng_.UniformU64(seen_);
-    if (slot < capacity_) values_[slot] = value;
-  }
-
-  const std::vector<double>& values() const { return values_; }
-
- private:
-  size_t capacity_;
-  maxrs::Rng rng_;
-  uint64_t seen_ = 0;
-  std::vector<double> values_;
-};
 
 }  // namespace perfbench
 

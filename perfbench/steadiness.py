@@ -1,21 +1,17 @@
 #!/usr/bin/env python3
 """Checks that the benchmark is steady: two sets of runs of one build agree.
 
-    python3 perfbench/steadiness.py                 # every workload, 2 x 10 runs
-    python3 perfbench/steadiness.py --runs 5 --workloads uniform_cold
-    python3 perfbench/steadiness.py --sets 1 --trace 1   # per-layer table
-    python3 perfbench/steadiness.py --save runs.json     # keep the raw values
-    python3 perfbench/steadiness.py --load runs.json     # re-judge them
+    python3 perfbench/steadiness.py
 
-Each run calls perfbench/run.py with its own seed (set k uses seeds
-k*1000+1 .. k*1000+runs). For every end-to-end metric of BENCHMARK.json it
-prints, per workload and set, the median, the first and third quartiles
-(Python's statistics.quantiles(values, n=4)) and the spread, which is
-(q3 - q1) / median. A metric passes when every set's spread is within its
-bound (setup_s excepted) and each later set's median is not worse than the
-first set's by more than the bound. The exit code is 1 if any check fails.
+For every workload of BENCHMARK.json it makes two sets of 10 runs of
+run_seconds each through perfbench/run.py, each run with its own seed (set k
+uses seeds k*1000+1 .. k*1000+10). For every end-to-end metric it prints,
+per set, the median, the first and third quartiles (Python's
+statistics.quantiles(values, n=4)) and the spread, (q3 - q1) / median. A
+metric passes when the spread of each set is within its bound and the two
+medians differ by no more than the bound times the first median, in either
+direction. The exit code is 1 if any check fails.
 """
-import argparse
 import json
 import os
 import statistics
@@ -24,11 +20,13 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+SETS = 2
+RUNS = 10
 
 
-def run_once(workload, seed, seconds, trace):
+def run_once(workload, seed, seconds):
     command = [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(command, cwd=ROOT, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -51,62 +49,28 @@ def summarize(values):
 def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--sets", type=int, default=2)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--save", help="write every run's metrics to this JSON file")
-    parser.add_argument("--load", help="judge the runs saved in this JSON file instead of running")
-    args = parser.parse_args()
-
-    if args.load:
-        with open(args.load) as f:
-            saved = json.load(f)
-        args.workloads = ",".join(saved)
-        args.sets = len(next(iter(saved.values())))
-        args.runs = len(next(iter(saved.values()))[0])
-    else:
-        saved = {}
-
-    metrics = bench["per_layer"] if args.trace else bench["end_to_end"]
+    seconds = bench["run_seconds"]
     ok = True
-    for workload in args.workloads.split(","):
-        if args.load:
-            sets = saved[workload]
-        else:
-            sets = [[run_once(workload, k * 1000 + i, args.seconds, args.trace)
-                     for i in range(1, args.runs + 1)]
-                    for k in range(1, args.sets + 1)]
-            saved[workload] = sets
-            if args.save:
-                with open(args.save, "w") as f:
-                    json.dump(saved, f, indent=1)
-        print("\n== %s: %d set(s) of %d runs, %g s each" % (workload, args.sets, args.runs,
-                                                          args.seconds))
-        print("%-32s %-9s %4s %14s %14s %14s %8s  %s" % (
+    for workload in (w["name"] for w in bench["workloads"]):
+        sets = [[run_once(workload, k * 1000 + i, seconds) for i in range(1, RUNS + 1)]
+                for k in range(1, SETS + 1)]
+        print("\n== %s: %d sets of %d runs, %g s each" % (workload, SETS, RUNS, seconds))
+        print("%-20s %-5s %4s %14s %14s %14s %8s  %s" % (
             "metric", "unit", "set", "median", "q1", "q3", "spread", "verdict"))
-        for metric in metrics:
-            name, bound = metric["name"], metric.get("bound")
+        for metric in bench["end_to_end"]:
+            name, bound = metric["name"], metric["bound"]
             first_median = None
             for k, runs in enumerate(sets, start=1):
                 median, q1, q3, spread = summarize([r[name] for r in runs])
-                verdict = []
-                if bound is not None:
-                    if name != "setup_s":
-                        verdict.append("spread ok" if spread <= bound else "SPREAD > BOUND")
-                        if spread > bound:
-                            ok = False
-                    if first_median is None:
-                        first_median = median
-                    else:
-                        worse = (median - first_median if metric["better"] == "lower"
-                                 else first_median - median)
-                        agree = worse <= bound * abs(first_median)
-                        verdict.append("agrees with set 1" if agree else "DISAGREES WITH SET 1")
-                        ok = ok and agree
-                print("%-32s %-9s %4d %14.6g %14.6g %14.6g %8.4f  %s" % (
+                verdict = ["spread ok" if spread <= bound else "SPREAD > BOUND"]
+                ok = ok and spread <= bound
+                if first_median is None:
+                    first_median = median
+                else:
+                    agree = abs(median - first_median) <= bound * abs(first_median)
+                    verdict.append("agrees with set 1" if agree else "DISAGREES WITH SET 1")
+                    ok = ok and agree
+                print("%-20s %-5s %4d %14.6g %14.6g %14.6g %8.4f  %s" % (
                     name, metric["unit"], k, median, q1, q3, spread, ", ".join(verdict)))
     print("\nsteady" if ok else "\nNOT STEADY")
     return 0 if ok else 1

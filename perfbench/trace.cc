@@ -10,10 +10,6 @@ uint64_t Tracer::Record(const char* name, uint64_t request,
                         uint64_t parent) {
   if (!enabled_) return 0;
   std::lock_guard<std::mutex> lock(mu_);
-  if (per_name_[name]++ >= per_name_cap_) {
-    ++dropped_;
-    return 0;
-  }
   const uint64_t id = spans_.size() + 1;
   spans_.push_back(Span{name, id, parent, request, start, end});
   return id;
@@ -22,11 +18,6 @@ uint64_t Tracer::Record(const char* name, uint64_t request,
 size_t Tracer::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return spans_.size();
-}
-
-uint64_t Tracer::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
 }
 
 bool Tracer::WriteJsonLines(const std::string& path) const {

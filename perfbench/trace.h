@@ -8,7 +8,6 @@
 #define MAXRS_PERFBENCH_TRACE_H_
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -29,26 +28,20 @@ struct Span {
 };
 
 /// Thread-safe span sink. A disabled tracer records nothing and costs one
-/// branch per call. An enabled one keeps the first `per_name_cap` spans of
-/// each name and counts the rest as dropped, so a run at 100k queries a
-/// second holds a bounded trace.
+/// branch per call.
 class Tracer {
  public:
-  explicit Tracer(bool enabled, size_t per_name_cap = 16384)
-      : enabled_(enabled), per_name_cap_(per_name_cap), origin_(Clock::now()) {}
+  explicit Tracer(bool enabled) : enabled_(enabled), origin_(Clock::now()) {}
 
   bool enabled() const { return enabled_; }
 
-  /// Records a finished span and returns its id (0 when disabled or past
-  /// the cap). `name` must be a string literal: spans keep the pointer.
+  /// Records a finished span and returns its id (0 when disabled). `name`
+  /// must be a string literal: spans keep the pointer.
   uint64_t Record(const char* name, uint64_t request, Clock::time_point start,
                   Clock::time_point end, uint64_t parent = 0);
 
-  /// Number of spans kept so far.
+  /// Number of spans recorded so far.
   size_t size() const;
-
-  /// Number of spans dropped past their name's cap.
-  uint64_t dropped() const;
 
   /// Writes every span as one JSON object per line (times in microseconds
   /// since the tracer was made). Returns false when the file cannot be
@@ -57,12 +50,9 @@ class Tracer {
 
  private:
   const bool enabled_;
-  const size_t per_name_cap_;
   const Clock::time_point origin_;
   mutable std::mutex mu_;
-  std::vector<Span> spans_;                  // guarded by mu_
-  std::map<const char*, size_t> per_name_;   // guarded by mu_
-  uint64_t dropped_ = 0;                     // guarded by mu_
+  std::vector<Span> spans_;  // guarded by mu_
 };
 
 }  // namespace perfbench

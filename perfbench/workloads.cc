@@ -23,22 +23,22 @@ const WorkloadConfig kWorkloads[] = {
     {/*name=*/"uniform_cold", /*clustered=*/false, /*cardinality=*/4000,
      /*shards=*/8, /*batch_max=*/1, LoadKind::kPoisson, /*connections=*/2,
      /*rate_qps=*/60.0, /*window=*/1, /*pool=*/0,
-     /*warm_pool=*/false, /*setup_reps=*/15, /*sub_passes=*/1,
+     /*warm_pool=*/false, /*setup_reps=*/15,
      Exercise::kColdPath},
     {/*name=*/"hot_zipf", /*clustered=*/false, /*cardinality=*/4000,
      /*shards=*/8, /*batch_max=*/1, LoadKind::kClosed, /*connections=*/1,
      /*rate_qps=*/0.0, /*window=*/8, /*pool=*/12,
-     /*warm_pool=*/true, /*setup_reps=*/9, /*sub_passes=*/5,
+     /*warm_pool=*/true, /*setup_reps=*/9,
      Exercise::kCacheOnly},
     {/*name=*/"clustered_mix", /*clustered=*/true, /*cardinality=*/5000,
      /*shards=*/8, /*batch_max=*/8, LoadKind::kClosed, /*connections=*/2,
      /*rate_qps=*/0.0, /*window=*/2, /*pool=*/64,
-     /*warm_pool=*/false, /*setup_reps=*/15, /*sub_passes=*/1,
+     /*warm_pool=*/false, /*setup_reps=*/15,
      Exercise::kReuse},
     {/*name=*/"large_cold", /*clustered=*/false, /*cardinality=*/120000,
      /*shards=*/0, /*batch_max=*/1, LoadKind::kClosed, /*connections=*/2,
      /*rate_qps=*/0.0, /*window=*/1, /*pool=*/0,
-     /*warm_pool=*/false, /*setup_reps=*/3, /*sub_passes=*/1,
+     /*warm_pool=*/false, /*setup_reps=*/3,
      Exercise::kDivision},
 };
 

@@ -61,12 +61,6 @@ struct WorkloadConfig {
   bool warm_pool = false;
   /// Set-ups made per run; setup_s is their median.
   size_t setup_reps = 1;
-  /// The untraced timed phase is this many equal passes, each on new
-  /// client connections (so new load and reader threads), and each
-  /// end-to-end metric is the median over them. Every pass sends the plan
-  /// from its start, so only a workload answered wholly from the cache
-  /// may use more than one.
-  size_t sub_passes = 1;
   Exercise exercise = Exercise::kColdPath;
 };
 
