@@ -2,11 +2,14 @@
 
 #include <poll.h>
 
-#include <ctime>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <ctime>
 #include <deque>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -48,7 +51,7 @@ bool ReadFrame(const Socket& sock, std::string* carry, std::string* line) {
 // What one connection saw; merged into the WirePass after the join.
 struct ConnTally {
   uint64_t attempted = 0;
-  uint64_t ok = 0;
+  std::atomic<uint64_t> ok{0};  // read by the CPU window sampler
   uint64_t err = 0;
   uint64_t sent = 0;
   std::vector<double> latency_ms;
@@ -240,11 +243,35 @@ WirePass RunWirePass(const WorkloadConfig& config, const QueryPlan& plan,
                      double seconds, const std::vector<Socket>& conns,
                      Tracer& tracer, bool keep_request_lines) {
   std::vector<ConnTally> tallies(conns.size());
-  const double cpu_before = ProcessCpuSeconds();
   const Clock::time_point t0 = Clock::now() + kLeadIn;
   const Clock::time_point end =
       t0 + std::chrono::duration_cast<Clock::duration>(
                std::chrono::duration<double>(seconds));
+  const auto ok_frames = [&tallies] {
+    uint64_t ok = 0;
+    for (const ConnTally& tally : tallies) ok += tally.ok.load();
+    return ok;
+  };
+  // At t0 and every kCpuWindow after it until the load threads are done:
+  // process CPU, OK frames, then one reference loop.
+  struct Mark {
+    double cpu_s;
+    uint64_t ok;
+    double ref_ms;
+  };
+  std::mutex sampler_mu;
+  std::condition_variable sampler_cv;
+  bool load_done = false;
+  std::vector<Mark> marks;
+  std::thread sampler([&] {
+    std::unique_lock<std::mutex> lock(sampler_mu);
+    for (Clock::time_point at = t0;; at += kCpuWindow) {
+      if (sampler_cv.wait_until(lock, at, [&] { return load_done; })) return;
+      Mark mark{ProcessCpuSeconds(), ok_frames(), 0.0};
+      mark.ref_ms = RefLoopCpuMillis();
+      marks.push_back(mark);
+    }
+  });
   std::vector<std::thread> threads;
   for (size_t c = 0; c < conns.size(); ++c) {
     threads.emplace_back([&, c] {
@@ -258,9 +285,23 @@ WirePass RunWirePass(const WorkloadConfig& config, const QueryPlan& plan,
     });
   }
   for (std::thread& t : threads) t.join();
+  {
+    std::lock_guard<std::mutex> lock(sampler_mu);
+    load_done = true;
+  }
+  sampler_cv.notify_all();
+  sampler.join();
 
   WirePass pass;
-  pass.cpu_s = ProcessCpuSeconds() - cpu_before;
+  marks.push_back({ProcessCpuSeconds(), ok_frames(), 0.0});
+  for (size_t i = 0; i + 1 < marks.size(); ++i) {
+    const uint64_t ok = marks[i + 1].ok - marks[i].ok;
+    pass.ref_loop_ms.push_back(marks[i].ref_ms);
+    if (ok == 0) continue;
+    const double cpu_ms =
+        (marks[i + 1].cpu_s - marks[i].cpu_s) * 1e3 - marks[i].ref_ms;
+    pass.window_cpu_ms_per_query.push_back(cpu_ms / static_cast<double>(ok));
+  }
   Clock::time_point last = t0;
   for (ConnTally& tally : tallies) {
     pass.attempted += tally.attempted;

@@ -6,6 +6,7 @@
 #ifndef MAXRS_PERFBENCH_LOAD_H_
 #define MAXRS_PERFBENCH_LOAD_H_
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -35,6 +36,11 @@ void NoteAnswer(AnswerMap* answers, uint32_t rect, const std::string& tokens);
 /// answer for the same rectangle count as inconsistent.
 void MergeAnswers(AnswerMap* into, const AnswerMap& from);
 
+/// The windows a wire pass measures its CPU cost per query over. At the
+/// start of each, the pass also runs the reference loop, so the cost can be
+/// scaled by how fast the machine ran in that stretch of the pass.
+inline constexpr std::chrono::seconds kCpuWindow{2};
+
 /// One wire pass.
 struct WirePass {
   uint64_t attempted = 0;   ///< Requests the plan sent.
@@ -49,7 +55,13 @@ struct WirePass {
   /// Requests sent per connection, in plan order.
   std::vector<uint64_t> sent_per_conn;
   double elapsed_s = 0.0;  ///< Start of the timed phase to the last frame.
-  double cpu_s = 0.0;      ///< Process CPU over the same interval.
+  /// Per window of the timed phase (kCpuWindow long; the last one ends with
+  /// the pass): process CPU per OK frame in ms, the reference loop's CPU
+  /// not counted. Windows without an OK frame are left out.
+  std::vector<double> window_cpu_ms_per_query;
+  /// The reference loop's CPU time (RefLoopCpuMillis) at the start of each
+  /// window.
+  std::vector<double> ref_loop_ms;
   AnswerMap answers;
   /// The first 4096 request lines each connection sent (only when asked
   /// for), for protocol timing.

@@ -1,8 +1,12 @@
 #include "measure.h"
 
 #include <sys/resource.h>
+#include <time.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdint>
 
 namespace perfbench {
 
@@ -14,6 +18,32 @@ double ProcessCpuSeconds() {
            static_cast<double>(tv.tv_usec) * 1e-6;
   };
   return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+double RefLoopCpuMillis() {
+  static std::vector<uint32_t> state(1 << 18, 1);
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < t.size(); ++i) t[i] = i * 2654435761u;
+    return t;
+  }();
+  static std::atomic<uint32_t> sink{0};
+  const auto thread_ms = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) * 1e-6;
+  };
+  const double start = thread_ms();
+  uint32_t h = sink.load(std::memory_order_relaxed);
+  for (int pass = 0; pass < 8; ++pass) {
+    for (uint32_t& v : state) {
+      h = (h >> 8) ^ table[(h ^ v) & 0xFF];
+      v += h;
+    }
+  }
+  sink.store(h, std::memory_order_relaxed);
+  return thread_ms() - start;
 }
 
 double PeakRssMb() {

@@ -18,6 +18,13 @@ inline double Millis(Clock::time_point from, Clock::time_point to) {
 /// User + system CPU seconds of the whole process so far.
 double ProcessCpuSeconds();
 
+/// Runs the benchmark's reference loop on the calling thread and returns
+/// the thread CPU milliseconds it took. The loop walks 1 MiB of state
+/// eight times through a 256-entry table, a chain of dependent table
+/// lookups like the program's checksums, and calls no code of the program,
+/// so its time tracks only how fast the machine runs. One thread at a time.
+double RefLoopCpuMillis();
+
 /// High-water resident set size of the process, in MiB.
 double PeakRssMb();
 

@@ -23,7 +23,7 @@ const WorkloadConfig kWorkloads[] = {
     {/*name=*/"uniform_cold", /*clustered=*/false, /*cardinality=*/4000,
      /*shards=*/8, /*batch_max=*/1, LoadKind::kPoisson, /*connections=*/2,
      /*rate_qps=*/60.0, /*window=*/1, /*pool=*/0,
-     /*warm_pool=*/false, /*setup_reps=*/15,
+     /*warm_pool=*/false, /*setup_reps=*/31,
      Exercise::kColdPath},
     {/*name=*/"hot_zipf", /*clustered=*/false, /*cardinality=*/4000,
      /*shards=*/8, /*batch_max=*/1, LoadKind::kClosed, /*connections=*/1,
@@ -33,7 +33,7 @@ const WorkloadConfig kWorkloads[] = {
     {/*name=*/"clustered_mix", /*clustered=*/true, /*cardinality=*/5000,
      /*shards=*/8, /*batch_max=*/8, LoadKind::kClosed, /*connections=*/2,
      /*rate_qps=*/0.0, /*window=*/2, /*pool=*/64,
-     /*warm_pool=*/false, /*setup_reps=*/15,
+     /*warm_pool=*/false, /*setup_reps=*/31,
      Exercise::kReuse},
     {/*name=*/"large_cold", /*clustered=*/false, /*cardinality=*/120000,
      /*shards=*/0, /*batch_max=*/1, LoadKind::kClosed, /*connections=*/2,
