@@ -1,19 +1,17 @@
 // Serve-layer throughput tracker: ingests one dataset, then measures the
 // MaxRSServer on a scripted workload of distinct rectangle sizes — cold
 // (every query executes the full per-query pipeline) and warm (every query
-// is an LRU hit) — at 1/2/8 workers, across solve and routing modes (the
-// default per-shard solve with streaming routing as "serve_cold"/
-// "serve_warm", the same solve through materialized part files as
-// "serve_cold_materialized", and the global k-way merge path as
-// "serve_cold_globalmerge"), emitted as BENCH_serve.json. A final round
-// pair re-runs the cold per-shard workload on a clustered dataset with the
-// aggregate-index pruning on ("serve_cold_pruned") and off
+// is an LRU hit) — at 1/2/8 workers, across solve modes (the default
+// per-shard solve as "serve_cold"/"serve_warm" and the global k-way merge
+// path as "serve_cold_globalmerge"), emitted as BENCH_serve.json. A final
+// round pair re-runs the cold per-shard workload on a clustered dataset
+// with the aggregate-index pruning on ("serve_cold_pruned") and off
 // ("serve_cold_unpruned"), so the perf history tracks the block-transfer
 // win of index-pruned serving where the bound actually bites. The mode
-// comparisons make the cost of part-file materialization and of the global
-// piece merge visible in the perf history. Together with BENCH_micro.json this
-// is the repo's machine-readable perf trajectory (docs/BENCHMARKING.md;
-// compare_bench.py --plot renders it).
+// comparison makes the cost of the global piece merge visible in the perf
+// history. Together with BENCH_micro.json this is the repo's
+// machine-readable perf trajectory (docs/BENCHMARKING.md; compare_bench.py
+// --plot renders it).
 //
 // Flags:
 //   --n=250000         dataset cardinality (uniform data)
@@ -188,35 +186,6 @@ int main(int argc, char** argv) {
           (read_ahead ? "+ra" : "");
       records.push_back({"bench_serve", round_name, "uniform", n, workers,
                          kBufferSynthetic, per_query, io, weights[0]});
-    }
-
-    // Routing comparison: the same per-shard workload, cold, with every
-    // routed piece/edge/span materialized through Env part files instead
-    // of streamed through channels. The delta against serve_cold is the
-    // block traffic (and wall time) the zero-materialization pipeline
-    // saves per query.
-    {
-      MaxRSServerOptions materialized_options = server_options;
-      materialized_options.routing_mode = ServeRoutingMode::kMaterialized;
-      materialized_options.cache_entries = 0;  // cold by construction
-      MaxRSServer materialized_server(*env, *handle, materialized_options);
-      const IoStatsSnapshot before = env->stats().Snapshot();
-      double wall = 0.0;
-      const std::vector<double> weights =
-          RunRound(materialized_server, rects, workers, &wall);
-      const uint64_t io = (env->stats().Snapshot() - before).total();
-      MAXRS_CHECK_MSG(weights == reference_weights,
-                      "routing mode changed a result");
-      const double per_query = wall / static_cast<double>(rects.size());
-      std::printf("%-12s%10zu%12.1f%14.6f%16" PRIu64 "%16" PRIu64 "\n",
-                  "cold_mat", workers,
-                  wall > 0.0 ? static_cast<double>(rects.size()) / wall : 0.0,
-                  per_query, io / rects.size(), io);
-      records.push_back({"bench_serve",
-                         std::string("serve_cold_materialized") +
-                             (read_ahead ? "+ra" : ""),
-                         "uniform", n, workers, kBufferSynthetic, per_query,
-                         io, weights[0]});
     }
 
     // Mode comparison: the same workload, cold, through the global-merge

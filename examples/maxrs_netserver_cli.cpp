@@ -4,7 +4,6 @@
 // line protocol:
 //
 //   MAXRS <w> <h> [deadline_ms=N] [pruning=auto|off]
-//                 [routing=streaming|materialized]
 //   STATS | PING | QUIT
 //
 // Two modes:

@@ -8,10 +8,11 @@
 // duplicate of a query already executing attaches to the leader's pending
 // slot instead of executing again), otherwise enqueues the request on a
 // bounded MPMC queue (util/mpmc_queue.h) and blocks on (or returns) its
-// future. A QuerySpec may override the deadline, routing mode, and pruning
-// mode per query; overrides never change the answer, only how it is
-// computed. `num_workers` long-running worker tasks — a TaskGroup on the PR-2
-// ThreadPool — pop requests and execute them. Two solve modes exist:
+// future. A QuerySpec may override the deadline and the pruning mode per
+// query; overrides never change the answer, only how it is computed.
+// `num_workers` dedicated worker threads form batches from the queue and
+// execute them, with per-shard subtasks on a ThreadPool. Two solve modes
+// exist:
 //
 // kPerShard (default) — the x-slab shards ARE the top-level division:
 //
@@ -21,17 +22,26 @@
 //               covered shards between; route each vertical edge by value
 //                                                         — linear passes
 //   solve       per target shard, merge its (few, typically 2-3) incoming
-//               part streams and run division + plane-sweep *inside the
-//               shard* (core_internal::SolveSlab)     — O(shard) per task
+//               routed streams and run division + plane-sweep *inside
+//               the shard* (core_internal::SolveSlabStream)
+//                                                     — O(shard) per task
 //   combine     one cross-shard MergeSweep over the shard slab-files and
 //               the boundary span file                — one linear sweep
 //
-// Under the default ServeRoutingMode::kStreaming the route and solve
-// stages overlap: routed records travel through bounded in-memory channels
-// (io/record_stream.h) instead of Env part files, each target solve starts
-// on its first arriving block, and the Env is touched only when a channel
-// exceeds its memory cap. kMaterialized keeps the PR-4 file-based handoff
-// as the equivalence oracle.
+// There is one routing path. The route and solve stages overlap: routed
+// records travel through bounded in-memory channels (io/record_stream.h),
+// each target solve starts on its first arriving block, and the Env is
+// touched only when a channel exceeds its memory cap. Every query runs as
+// a member of a batch (see batch_max); a lone query is a batch of k = 1,
+// so one scan of each source shard's y-file and one of its x-file route
+// all k queries. Two rules keep batch-mates independent:
+//
+//   deadlines    a shared scan stops early only once EVERY member's token
+//                has expired (for k = 1, the plain per-row poll); one
+//                member's deadline never aborts the others, and is
+//                enforced in that member's own solves and combine
+//   degradation  a member that fails with a retryable error re-runs once,
+//                alone, through the same runner (ServerCounters::degraded)
 //
 // kGlobalMerge (the PR-3 path, kept for comparison) — k-way-merge all
 // per-shard streams into one global prepared input, then run the whole
@@ -94,23 +104,6 @@ enum class ServeSolveMode {
   /// divide from the top — the PR-3 path; reproduces the one-shot division
   /// tree bit-for-bit for arbitrary (including non-integer) weights.
   kGlobalMerge,
-};
-
-/// How the per-shard mode moves routed records from source-shard routing
-/// passes into target-shard solves.
-enum class ServeRoutingMode {
-  /// Zero-materialization streaming: each source shard's routing pass feeds
-  /// per-target bounded SPSC channels (io/record_stream.h) and each target
-  /// solve starts the moment its first routed block arrives, while routing
-  /// is still running. Records touch the Env only when a channel exceeds
-  /// its memory cap (it spills to a part file) or a target overflows its
-  /// base case. Answers are bit-identical to kMaterialized, and per-query
-  /// I/O never exceeds it. The default.
-  kStreaming,
-  /// Materialize every routed stream as Env part files, then merge them per
-  /// target after all routing completes — the PR-4 path, kept as the
-  /// equivalence oracle for the streaming pipeline.
-  kMaterialized,
 };
 
 /// Whether the per-shard mode consults the dataset's aggregate shard index
@@ -184,20 +177,17 @@ struct MaxRSServerOptions {
   int64_t admission_timeout_ms = 10'000;
 
   /// Per-query deadline measured from Submit (queue wait included); past
-  /// it the query's CancelToken expires and every routing / merge / sweep
-  /// loop it reaches aborts with kDeadlineExceeded — a terminal error
-  /// (re-running would re-exceed it). 0 disables deadlines. Cooperative:
-  /// a query may still finish successfully if it completes between polls.
+  /// it the query's CancelToken expires and every merge / sweep loop it
+  /// reaches aborts with kDeadlineExceeded — a terminal error (re-running
+  /// would re-exceed it). A shared routing scan stops once every member of
+  /// its batch has expired. 0 disables deadlines. Cooperative: a query may
+  /// still finish successfully if it completes between polls.
   int64_t deadline_ms = 0;
 
   /// Per-query execution strategy; see ServeSolveMode.
   ServeSolveMode solve_mode = ServeSolveMode::kPerShard;
 
-  /// How routed records travel from routing passes to shard solves in
-  /// kPerShard mode (ignored by kGlobalMerge); see ServeRoutingMode.
-  ServeRoutingMode routing_mode = ServeRoutingMode::kStreaming;
-
-  /// Per-channel in-memory byte cap for kStreaming routing: a channel
+  /// Per-channel in-memory byte cap for kPerShard routing: a channel
   /// holding more than this spills the excess to one Env part file. 0
   /// forces every record through a spill file (the materialization
   /// worst case); SIZE_MAX never spills. The spill decision is a pure
@@ -213,10 +203,10 @@ struct MaxRSServerOptions {
   bool write_behind = false;
 
   /// Double-buffered read-ahead (io/prefetch_reader.h) on every sequential
-  /// per-query stream: shard routing scans, per-shard part merges, the
-  /// cross-shard MergeSweep inputs, and the root slab-file scan (plus the
-  /// global-merge mode's stream merges). Answers and per-query block
-  /// counts are bit-identical either way at any shard/worker count.
+  /// per-query stream: shard routing scans, the cross-shard MergeSweep
+  /// inputs, and the root slab-file scan (plus the global-merge mode's
+  /// stream merges). Answers and per-query block counts are bit-identical
+  /// either way at any shard/worker count.
   bool read_ahead = false;
 
   /// Shard skipping via the dataset's aggregate index (kPerShard mode
@@ -231,11 +221,9 @@ struct MaxRSServerOptions {
   /// every query in the batch at once, so the scan I/O is paid once and
   /// reported per query as an amortized equal share (docs/IO_MODEL.md,
   /// "Batched shared scans"). Answers are bit-identical to submitting the
-  /// same queries serially. 1 (the default) disables batching entirely —
-  /// the legacy one-query-per-worker path runs, and every committed
-  /// serial baseline is unaffected. Effective only for the streaming
-  /// per-shard mode; kMaterialized and kGlobalMerge execute a formed
-  /// batch as a plain sequence. Clamped to [1, 64].
+  /// same queries serially. 1 (the default) disables batching: each query
+  /// runs as a batch of one. kGlobalMerge executes a formed batch as a
+  /// plain sequence. Clamped to [1, 64].
   size_t batch_max = 1;
 
   /// How long a forming batch may wait for the queue to supply up to
@@ -276,9 +264,10 @@ struct ServerCounters {
   uint64_t cache_rejects = 0;   ///< Results refused by the admission policy.
   uint64_t shed = 0;            ///< Refused with kUnavailable: queue full
                                 ///< past the admission budget.
-  uint64_t degraded = 0;        ///< Streaming queries re-run once on the
-                                ///< materialized path after a retryable
-                                ///< failure (graceful degradation).
+  uint64_t degraded = 0;        ///< Per-shard queries re-run once, alone,
+                                ///< through the same runner after a
+                                ///< retryable failure (graceful
+                                ///< degradation).
   uint64_t deadlines = 0;       ///< Queries that returned kDeadlineExceeded:
                                 ///< executions aborted by an expired token,
                                 ///< and deduplicated followers whose own
@@ -305,10 +294,10 @@ struct ServerCounters {
 /// `QuerySpec{w, h}` behaves exactly like the legacy positional Submit.
 /// Validated in one place (Submit/SubmitAsync): dimensions must be positive
 /// and finite, a set deadline must be non-negative. Overrides never change
-/// the answer — streaming and materialized routing, pruned and un-pruned
-/// execution are bit-identical by contract — which is what keeps the
-/// result cache and in-flight dedup keyed on (width, height) alone sound
-/// even when two callers ask for the same rect under different modes.
+/// the answer — pruned and un-pruned execution are bit-identical by
+/// contract — which is what keeps the result cache and in-flight dedup
+/// keyed on (width, height) alone sound even when two callers ask for the
+/// same rect under different modes.
 struct QuerySpec {
   /// Query rectangle width; must be positive and finite.
   double width = 0.0;
@@ -321,9 +310,6 @@ struct QuerySpec {
   /// Per-query pruning override; unset inherits
   /// MaxRSServerOptions::pruning_mode.
   std::optional<ServePruningMode> pruning;
-  /// Per-query routing override (kPerShard mode only); unset inherits
-  /// MaxRSServerOptions::routing_mode.
-  std::optional<ServeRoutingMode> routing;
 };
 
 /// Where a QueryResponse's answer came from.
@@ -432,23 +418,21 @@ class MaxRSServer {
   }
 
  private:
-  /// One queued query: its dimensions, its EFFECTIVE execution modes
-  /// (per-query overrides already resolved against the server options at
+  /// One queued query: its dimensions, its EFFECTIVE pruning mode
+  /// (per-query override already resolved against the server options at
   /// submit time), its cancellation token, and the promise the leader's
   /// Submit waits on. The worker fulfills the promise exactly once. The
   /// token's deadline starts at Submit, so time spent queued counts
   /// against it.
   struct Request {
     Request(double w, double h, std::chrono::milliseconds deadline,
-            ServeRoutingMode r, ServePruningMode p)
+            ServePruningMode p)
         : width(w),
           height(h),
-          routing(r),
           pruning(p),
           cancel(CancelToken::WithTimeout(deadline)) {}
     double width;
     double height;
-    ServeRoutingMode routing;
     ServePruningMode pruning;
     CancelToken cancel;
     std::promise<Result<QueryResponse>> promise;
@@ -510,26 +494,22 @@ class MaxRSServer {
   /// are staged for the next batch. Empty result = shut down and drained.
   std::vector<std::shared_ptr<Request>> FormBatch();
   /// Whether `candidate` may share a batch with `anchor`: identical
-  /// effective routing and pruning modes (a batch executes under ONE mode
-  /// pair), and width and height each within kBatchShapeRatio of the
-  /// anchor's, so pruning bounds and routing fan-out stay comparable
-  /// across the batch.
+  /// effective pruning modes (a batch executes under ONE plan), and width
+  /// and height each within kBatchShapeRatio of the anchor's, so pruning
+  /// bounds and routing fan-out stay comparable across the batch.
   static bool ShapeCompatible(const Request& anchor, const Request& candidate);
   /// Runs one formed batch end to end and fulfills every promise:
-  /// shared-scan execution for the streaming per-shard mode, a serial
-  /// per-query loop otherwise, plus per-query retryable degradation and
-  /// the counters/cache/pending bookkeeping of the serial path.
+  /// shared-scan execution in the per-shard mode, a per-query loop in the
+  /// global-merge mode, plus per-query retryable degradation and the
+  /// counters/cache/pending bookkeeping.
   void ExecuteBatch(std::vector<std::shared_ptr<Request>> batch);
-  /// Shared-scan execution of `batch` (all k >= 2 queries off one routing
-  /// pass per source shard), un-pruned / index-pruned. Results land in
-  /// `results` slots parallel to `batch`.
-  void ExecuteBatchStreaming(
-      const std::vector<std::shared_ptr<Request>>& batch,
-      std::vector<Result<MaxRSResult>>* results);
-  void ExecuteBatchStreamingPruned(
-      const std::vector<std::shared_ptr<Request>>& batch,
-      std::vector<Result<MaxRSResult>>* results);
-  /// Post-execution bookkeeping shared by the serial and batched paths:
+  /// The per-shard runner: all k >= 1 queries of `batch` off one routing
+  /// scan per source shard, under the un-pruned plan (one wave: every
+  /// source, every target) or the index-pruned one (a seed wave, then the
+  /// survivors). Returns one result per query, parallel to `batch`.
+  std::vector<Result<MaxRSResult>> ExecuteBatchStreaming(
+      const std::vector<std::shared_ptr<Request>>& batch, bool pruned);
+  /// Post-execution bookkeeping shared by every execution path:
   /// counters, cache admission (on the canonical key), publish-then-erase
   /// of the pending slot, and fulfillment of the leader promise (served_from
   /// kExecuted) and every attached follower promise (kDedup).
@@ -539,29 +519,13 @@ class MaxRSServer {
   /// `refused` and retires the pending slot — the shed/shutdown path.
   void FailRequest(const std::shared_ptr<Request>& request,
                    const Status& refused);
-  /// Executes one query under the EFFECTIVE (already-resolved) routing and
-  /// pruning modes carried by its request.
-  Result<MaxRSResult> ExecuteQuery(double width, double height,
-                                   const CancelToken* cancel,
-                                   ServeRoutingMode routing,
-                                   ServePruningMode pruning);
   Result<MaxRSResult> ExecuteGlobalMerge(double width, double height,
                                          const CancelToken* cancel);
-  Result<MaxRSResult> ExecutePerShardStreaming(double width, double height,
-                                               const CancelToken* cancel);
-  Result<MaxRSResult> ExecutePerShardMaterialized(double width, double height,
-                                                  const CancelToken* cancel);
-  Result<MaxRSResult> ExecutePerShardStreamingPruned(
-      double width, double height, const CancelToken* cancel);
-  Result<MaxRSResult> ExecutePerShardMaterializedPruned(
-      double width, double height, const CancelToken* cancel);
   /// Whether a query with effective pruning mode `mode` runs the
   /// index-pruned phased execution: the mode is kAuto, the solve mode is
   /// kPerShard with more than one shard, and the dataset's aggregate index
   /// exists and is pruning-safe.
   bool PruningActiveFor(ServePruningMode mode) const;
-  /// PruningActiveFor under the server-wide default pruning mode.
-  bool PruningActive() const;
   std::optional<MaxRSResult> CacheLookup(const CacheKey& key);
   void CacheInsert(const CacheKey& key, const MaxRSResult& result);
   /// The admission decision on a canonical cache key (AdmitsToCache after

@@ -1,19 +1,24 @@
 // Batched shared-scan equivalence battery: MaxRSServer with batch_max > 1
 // must answer every query bit-identically to serial submission across the
 // full configuration matrix — shard counts x worker counts x batch sizes x
-// routing modes x pruning modes — because batching only re-plumbs I/O (one
-// shared scan feeding per-query channel grids); it never changes the
-// per-query record streams. On top of bit-identity the battery pins the
+// pruning modes — because batching only re-plumbs I/O (one shared scan
+// feeding per-query channel grids); it never changes the per-query record
+// streams. On top of bit-identity the battery pins the
 // amortized accounting contract (docs/IO_MODEL.md, "Batched shared scans"):
 // a forced full batch reports each query's equal share (counters differ by
 // at most one unit, shares sum exactly to the batch total), batch_size = k,
 // scans_shared = (k - 1) per shared scan, and two identical runs report
 // identical per-query snapshots. A chaos leg checks that faults striking
 // mid-batch fail cleanly — affected queries degrade or return a specific
-// error; batch-mates and later queries are not poisoned.
+// error; batch-mates and later queries are not poisoned. A deadline leg
+// checks that a batch whose members have all expired stops its shared scan.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -114,6 +119,89 @@ class UnavailableOnceEnv : public Env {
   std::atomic<uint64_t> remaining_;
 };
 
+// Env wrapper whose ReadBlock parks while the gate is closed, so a test can
+// wedge a batch's routing scans on their first read and let every deadline
+// lapse before they run on.
+class GateEnv : public Env {
+ public:
+  explicit GateEnv(Env& base) : base_(base) {}
+
+  void CloseGate() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+  }
+  void OpenGate() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  /// Spins until some reader is parked on the closed gate.
+  void WaitUntilBlocked() const {
+    while (blocked_.load() == 0) std::this_thread::yield();
+  }
+
+  Result<std::unique_ptr<BlockFile>> Create(const std::string& name) override {
+    return base_.Create(name);
+  }
+  Result<std::unique_ptr<BlockFile>> Open(const std::string& name) override {
+    auto file = base_.Open(name);
+    if (!file.ok()) return file;
+    return {std::make_unique<File>(std::move(file).value(), this)};
+  }
+  Status Delete(const std::string& name) override { return base_.Delete(name); }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return base_.Rename(from, to);
+  }
+  bool Exists(const std::string& name) const override {
+    return base_.Exists(name);
+  }
+  std::vector<std::string> ListFiles() const override {
+    return base_.ListFiles();
+  }
+  size_t block_size() const override { return base_.block_size(); }
+  IoStats& stats() override { return base_.stats(); }
+
+ private:
+  class File : public BlockFile {
+   public:
+    File(std::unique_ptr<BlockFile> base, GateEnv* env)
+        : base_(std::move(base)), env_(env) {}
+    Status ReadBlock(uint64_t index, void* buf) override {
+      env_->Block();
+      return base_->ReadBlock(index, buf);
+    }
+    Status WriteBlock(uint64_t index, const void* buf) override {
+      return base_->WriteBlock(index, buf);
+    }
+    uint64_t NumBlocks() const override { return base_->NumBlocks(); }
+    Status Truncate(uint64_t num_blocks) override {
+      return base_->Truncate(num_blocks);
+    }
+    size_t block_size() const override { return base_->block_size(); }
+    const std::string& name() const override { return base_->name(); }
+
+   private:
+    std::unique_ptr<BlockFile> base_;
+    GateEnv* env_;
+  };
+
+  void Block() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (open_) return;
+    blocked_.fetch_add(1);
+    cv_.wait(lock, [this] { return open_; });
+    blocked_.fetch_sub(1);
+  }
+
+  Env& base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = true;
+  std::atomic<int> blocked_{0};
+};
+
 // Eight distinct rects with deliberately incompatible shapes mixed in
 // (width span 35..410 exceeds the formation's 8x band), so batch formation
 // must split and re-stage — the answers must not care.
@@ -151,7 +239,6 @@ Result<DatasetHandle> IngestShards(Env& env, size_t shards) {
 }
 
 MaxRSServerOptions BatchServerOptions(size_t workers, size_t batch_max,
-                                      ServeRoutingMode routing,
                                       ServePruningMode pruning) {
   MaxRSServerOptions options;
   options.num_workers = workers;
@@ -161,7 +248,6 @@ MaxRSServerOptions BatchServerOptions(size_t workers, size_t batch_max,
   // formation window; the window exits early once batch_max candidates
   // are in hand, so this is latency only on the final, partial batch.
   options.batch_window_ms = batch_max > 1 ? 2000 : 0;
-  options.routing_mode = routing;
   options.pruning_mode = pruning;
   options.cache_entries = 0;  // every submission must execute
   return options;
@@ -212,25 +298,21 @@ TEST(BatchEquivalenceTest, BitIdenticalToOneShotAcrossTheMatrix) {
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
     for (size_t workers : {1u, 2u, 8u}) {
       for (size_t batch : {1u, 2u, 8u}) {
-        for (ServeRoutingMode routing :
-             {ServeRoutingMode::kStreaming, ServeRoutingMode::kMaterialized}) {
-          for (ServePruningMode pruning :
-               {ServePruningMode::kAuto, ServePruningMode::kOff}) {
-            SCOPED_TRACE("shards=" + std::to_string(shards) +
-                         " workers=" + std::to_string(workers) +
-                         " batch=" + std::to_string(batch) +
-                         " routing=" + std::to_string(static_cast<int>(routing)) +
-                         " pruning=" + std::to_string(static_cast<int>(pruning)));
-            MaxRSServer server(
-                *env, *handle,
-                BatchServerOptions(workers, batch, routing, pruning));
-            std::vector<Result<MaxRSResult>> results =
-                SubmitAll(server, MatrixRects());
-            for (size_t i = 0; i < results.size(); ++i) {
-              SCOPED_TRACE("query " + std::to_string(i));
-              ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-              ExpectBitIdentical(*results[i], expected[i]);
-            }
+        for (ServePruningMode pruning :
+             {ServePruningMode::kAuto, ServePruningMode::kOff}) {
+          SCOPED_TRACE("shards=" + std::to_string(shards) +
+                       " workers=" + std::to_string(workers) +
+                       " batch=" + std::to_string(batch) +
+                       " pruning=" + std::to_string(static_cast<int>(pruning)));
+          MaxRSServer server(
+              *env, *handle,
+              BatchServerOptions(workers, batch, pruning));
+          std::vector<Result<MaxRSResult>> results =
+              SubmitAll(server, MatrixRects());
+          for (size_t i = 0; i < results.size(); ++i) {
+            SCOPED_TRACE("query " + std::to_string(i));
+            ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+            ExpectBitIdentical(*results[i], expected[i]);
           }
         }
       }
@@ -252,8 +334,7 @@ TEST(BatchEquivalenceTest, ForcedFullBatchAmortizesIoDeterministically) {
     auto handle = IngestShards(*env, kShards);
     ASSERT_TRUE(handle.ok());
     MaxRSServer server(*env, *handle,
-                       BatchServerOptions(1, 1, ServeRoutingMode::kStreaming,
-                                          ServePruningMode::kOff));
+                       BatchServerOptions(1, 1, ServePruningMode::kOff));
     for (size_t i = 0; i < k; ++i) {
       auto r = server.Submit(rects[i].first, rects[i].second);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -274,8 +355,7 @@ TEST(BatchEquivalenceTest, ForcedFullBatchAmortizesIoDeterministically) {
     auto handle = IngestShards(*env, kShards);
     ASSERT_TRUE(handle.ok());
     MaxRSServer server(*env, *handle,
-                       BatchServerOptions(1, 8, ServeRoutingMode::kStreaming,
-                                          ServePruningMode::kOff));
+                       BatchServerOptions(1, 8, ServePruningMode::kOff));
     const IoStatsSnapshot before = env->stats().Snapshot();
     std::vector<Result<MaxRSResult>> results = SubmitAll(server, rects);
     const IoStatsSnapshot delta = env->stats().Snapshot() - before;
@@ -330,13 +410,12 @@ TEST(BatchEquivalenceTest, ForcedFullBatchAmortizesIoDeterministically) {
 
 TEST(BatchEquivalenceTest, SingleQueryBatchIsTheLegacyPath) {
   // batch_max > 1 with one in-flight query must not change accounting: the
-  // formation window closes on a batch of one, which executes exactly the
-  // legacy serial path — batch_size 1, no shared-scan shares.
+  // formation window closes on a batch of one, which reports batch_size 1,
+  // no shared-scan shares, and counts as no batch.
   auto env = MakeEnvWithDataset();
   auto handle = IngestShards(*env, 3);
   ASSERT_TRUE(handle.ok());
-  MaxRSServerOptions options = BatchServerOptions(
-      1, 8, ServeRoutingMode::kStreaming, ServePruningMode::kOff);
+  MaxRSServerOptions options = BatchServerOptions(1, 8, ServePruningMode::kOff);
   options.batch_window_ms = 10;  // don't hold the lone query for 2s
   MaxRSServer server(*env, *handle, options);
   auto r = server.Submit(200.0, 140.0);
@@ -362,8 +441,7 @@ TEST(BatchEquivalenceTest, FaultMidBatchFailsCleanlyAndServerSurvives) {
   ASSERT_TRUE(handle.ok());
   {
     MaxRSServer server(*env, *handle,
-                       BatchServerOptions(1, 1, ServeRoutingMode::kStreaming,
-                                          ServePruningMode::kOff));
+                       BatchServerOptions(1, 1, ServePruningMode::kOff));
     for (size_t i = 0; i < rects.size(); ++i) {
       auto r = server.Submit(rects[i].first, rects[i].second);
       ASSERT_TRUE(r.ok());
@@ -373,8 +451,7 @@ TEST(BatchEquivalenceTest, FaultMidBatchFailsCleanlyAndServerSurvives) {
 
   FaultEnv faulty(*env);
   MaxRSServer faulted(faulty, *handle,
-                      BatchServerOptions(1, 8, ServeRoutingMode::kStreaming,
-                                         ServePruningMode::kOff));
+                      BatchServerOptions(1, 8, ServePruningMode::kOff));
   faulty.ArmAfter(40);  // strikes during the batch's routing/solve phase
   std::vector<Result<MaxRSResult>> results = SubmitAll(faulted, rects);
   EXPECT_EQ(faulty.faults_delivered(), 1u);
@@ -404,9 +481,9 @@ TEST(BatchEquivalenceTest, FaultMidBatchFailsCleanlyAndServerSurvives) {
 
 TEST(BatchEquivalenceTest, RetryableFaultMidBatchDegradesPerQueryNotWrong) {
   // A retryable (kUnavailable) fault mid-batch triggers the per-query
-  // degradation rerun: the affected queries re-run SOLO on the
-  // materialized path and still answer bit-identically; their stats are
-  // the solo rerun's (batch_size back to 1, un-amortized I/O).
+  // degradation rerun: the affected queries re-run SOLO through the same
+  // runner (a batch of one) and still answer bit-identically; their stats
+  // are the solo rerun's (batch_size back to 1, un-amortized I/O).
   const auto& rects = CompatibleRects();
   std::vector<MaxRSResult> expected(rects.size());
   auto env = MakeEnvWithDataset();
@@ -414,8 +491,7 @@ TEST(BatchEquivalenceTest, RetryableFaultMidBatchDegradesPerQueryNotWrong) {
   ASSERT_TRUE(handle.ok());
   {
     MaxRSServer server(*env, *handle,
-                       BatchServerOptions(1, 1, ServeRoutingMode::kStreaming,
-                                          ServePruningMode::kOff));
+                       BatchServerOptions(1, 1, ServePruningMode::kOff));
     for (size_t i = 0; i < rects.size(); ++i) {
       auto r = server.Submit(rects[i].first, rects[i].second);
       ASSERT_TRUE(r.ok());
@@ -425,8 +501,7 @@ TEST(BatchEquivalenceTest, RetryableFaultMidBatchDegradesPerQueryNotWrong) {
 
   UnavailableOnceEnv flaky(*env, /*fail_after=*/40);
   MaxRSServer server(flaky, *handle,
-                     BatchServerOptions(1, 8, ServeRoutingMode::kStreaming,
-                                        ServePruningMode::kOff));
+                     BatchServerOptions(1, 8, ServePruningMode::kOff));
   std::vector<Result<MaxRSResult>> results = SubmitAll(server, rects);
   for (size_t i = 0; i < results.size(); ++i) {
     SCOPED_TRACE("query " + std::to_string(i));
@@ -434,6 +509,68 @@ TEST(BatchEquivalenceTest, RetryableFaultMidBatchDegradesPerQueryNotWrong) {
     ExpectBitIdentical(*results[i], expected[i]);
   }
   EXPECT_GE(server.counters().degraded, 1u);
+}
+
+TEST(BatchEquivalenceTest, AllMembersExpiredStopsTheSharedScan) {
+  // Once every member's deadline has lapsed nobody is left to consume the
+  // shared scan: it must stop at its next poll instead of routing (and
+  // spilling) every remaining row. The gate wedges the scans on their
+  // first read until all deadlines are past. Every member then fails with
+  // kDeadlineExceeded, and the batch reads fewer blocks than one clean pass
+  // over the shard files. k = 1 is the plain per-row poll.
+  constexpr size_t kShards = 2;
+  auto base = NewMemEnv(1024);
+  ASSERT_TRUE(WriteDataset(*base, kDatasetFile,
+                           testing::RandomIntObjects(
+                               /*n=*/20000, /*extent=*/1000, /*seed=*/43,
+                               /*random_weights=*/true))
+                  .ok());
+  GateEnv env(*base);
+  auto handle = IngestShards(env, kShards);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  uint64_t clean_pass = 0;  // every shard's y-file and x-file, once
+  for (const ShardInfo& shard : handle->shards()) {
+    for (const std::string& name : {shard.y_file, shard.x_file}) {
+      auto file = base->Open(name);
+      ASSERT_TRUE(file.ok()) << file.status().ToString();
+      clean_pass += (*file)->NumBlocks();
+    }
+  }
+
+  const auto& rects = CompatibleRects();
+  for (size_t k : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    MaxRSServerOptions options =
+        BatchServerOptions(1, 8, ServePruningMode::kOff);
+    options.batch_window_ms = k > 1 ? 2000 : 0;  // exits once 8 are in hand
+    options.deadline_ms = 100;
+    MaxRSServer server(env, *handle, options);
+
+    env.CloseGate();
+    const IoStatsSnapshot before = env.stats().Snapshot();
+    std::vector<std::future<Result<QueryResponse>>> futures;
+    for (size_t i = 0; i < k; ++i) {
+      futures.push_back(server.SubmitAsync(
+          QuerySpec{rects[i].first, rects[i].second, {}, {}}));
+    }
+    env.WaitUntilBlocked();  // the scan started and is wedged
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    env.OpenGate();
+    for (size_t i = 0; i < k; ++i) {
+      Result<QueryResponse> r = futures[i].get();
+      ASSERT_FALSE(r.ok()) << "query " << i << " outlived its deadline";
+      EXPECT_EQ(r.status().code(), Status::Code::kDeadlineExceeded)
+          << r.status().ToString();
+    }
+    const IoStatsSnapshot delta = env.stats().Snapshot() - before;
+    EXPECT_LT(delta.blocks_read, clean_pass)
+        << "the shared scan ran on after every member expired";
+
+    const ServerCounters counters = server.counters();
+    EXPECT_EQ(counters.deadlines, k);
+    EXPECT_EQ(counters.degraded, 0u);  // deadline errors are never re-run
+    EXPECT_EQ(counters.batches, k > 1 ? 1u : 0u);
+  }
 }
 
 }  // namespace

@@ -97,7 +97,7 @@ class LineClient {
 
 TEST(QueryProtocolTest, ParsesMaxRSWithOverrides) {
   auto cmd = ParseCommand(
-      "MAXRS 120.5 80 deadline_ms=250 pruning=off routing=materialized");
+      "MAXRS 120.5 80 deadline_ms=250 pruning=off");
   ASSERT_TRUE(cmd.ok()) << cmd.status().ToString();
   EXPECT_EQ(cmd->type, CommandType::kMaxRS);
   EXPECT_EQ(cmd->spec.width, 120.5);
@@ -106,8 +106,6 @@ TEST(QueryProtocolTest, ParsesMaxRSWithOverrides) {
   EXPECT_EQ(*cmd->spec.deadline_ms, 250);
   ASSERT_TRUE(cmd->spec.pruning.has_value());
   EXPECT_EQ(*cmd->spec.pruning, ServePruningMode::kOff);
-  ASSERT_TRUE(cmd->spec.routing.has_value());
-  EXPECT_EQ(*cmd->spec.routing, ServeRoutingMode::kMaterialized);
 }
 
 TEST(QueryProtocolTest, BareMaxRSLeavesOverridesUnset) {
@@ -115,7 +113,6 @@ TEST(QueryProtocolTest, BareMaxRSLeavesOverridesUnset) {
   ASSERT_TRUE(cmd.ok());
   EXPECT_FALSE(cmd->spec.deadline_ms.has_value());
   EXPECT_FALSE(cmd->spec.pruning.has_value());
-  EXPECT_FALSE(cmd->spec.routing.has_value());
 }
 
 TEST(QueryProtocolTest, ToleratesTrailingCarriageReturn) {
@@ -135,7 +132,8 @@ TEST(QueryProtocolTest, RejectsMalformedCommands) {
       "MAXRS 10 20 deadline_ms=-5",   // negative deadline
       "MAXRS 10 20 deadline_ms=abc",  // non-integer deadline
       "MAXRS 10 20 pruning=maybe",    // unknown enum value
-      "MAXRS 10 20 routing=magic",    // unknown enum value
+      "MAXRS 10 20 routing=magic",    // unknown option key
+      "MAXRS 10 20 routing=materialized",  // removed option key
       "MAXRS 10 20 color=red",        // unknown option key
       "PING now",                     // arity violation
       "STATS please",                 // arity violation

@@ -7,10 +7,9 @@
 // I/O ledger:
 //
 //   - bit-identical answers to un-pruned serving across shard counts
-//     {1, 2, 7, 16, 64} x worker counts {1, 2, 8} x routing modes
-//     {streaming, materialized} x read_ahead on/off, with per-query block
-//     counts deterministic within each configuration and never above the
-//     un-pruned pipeline's;
+//     {1, 2, 7, 16, 64} x worker counts {1, 2, 8} x read_ahead on/off,
+//     with per-query block counts deterministic within each configuration
+//     and never above the un-pruned pipeline's;
 //   - on weight-skewed data with a selective rect, cold queries at >= 16
 //     shards must actually skip shards (shards_pruned > 0 — i.e. open
 //     strictly fewer shards than the shard count) and the cold block count
@@ -88,7 +87,7 @@ void ExpectBitIdentical(const MaxRSResult& a, const MaxRSResult& b) {
   EXPECT_EQ(a.region, b.region);
 }
 
-TEST(PruningEquivalenceTest, MatchesUnprunedAcrossShardWorkerModeReadAhead) {
+TEST(PruningEquivalenceTest, MatchesUnprunedAcrossShardWorkerReadAhead) {
   constexpr size_t kN = 2816;  // realizes all 64 shards (shard_property_test)
   const uint64_t kSeed = 7;
   for (size_t shards : kShardCounts) {
@@ -101,73 +100,68 @@ TEST(PruningEquivalenceTest, MatchesUnprunedAcrossShardWorkerModeReadAhead) {
     ASSERT_EQ(handle->shards().size(), shards);
     ASSERT_NE(handle->agg_index(), nullptr);
 
-    for (ServeRoutingMode routing :
-         {ServeRoutingMode::kStreaming, ServeRoutingMode::kMaterialized}) {
-      // Un-pruned oracle in the same routing mode: answers, per-query
-      // block counts, and zero pruning counters.
-      std::vector<MaxRSResult> oracle;
-      {
-        MaxRSServerOptions options = BaseServerOptions(1);
-        options.routing_mode = routing;
-        options.pruning_mode = ServePruningMode::kOff;
-        MaxRSServer server(*env, *handle, options);
-        for (const auto& rect : kRects) {
-          auto r = server.Submit(rect[0], rect[1]);
-          ASSERT_TRUE(r.ok()) << r.status().ToString();
-          EXPECT_EQ(r->stats.io.shards_pruned, 0u)
-              << "un-pruned serving must not report pruned shards";
-          EXPECT_EQ(r->stats.io.bound_skips, 0u);
-          oracle.push_back(*r);
-        }
+    // Un-pruned oracle: answers, per-query
+    // block counts, and zero pruning counters.
+    std::vector<MaxRSResult> oracle;
+    {
+      MaxRSServerOptions options = BaseServerOptions(1);
+      options.pruning_mode = ServePruningMode::kOff;
+      MaxRSServer server(*env, *handle, options);
+      for (const auto& rect : kRects) {
+        auto r = server.Submit(rect[0], rect[1]);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_EQ(r->stats.io.shards_pruned, 0u)
+            << "un-pruned serving must not report pruned shards";
+        EXPECT_EQ(r->stats.io.bound_skips, 0u);
+        oracle.push_back(*r);
       }
+    }
 
-      // Pruned serving at every worker count x read_ahead: bit-identical
-      // answers, block counts never above the un-pruned pipeline's, and
-      // the whole I/O ledger (including the pruning counters)
-      // deterministic across the sub-matrix.
-      std::vector<IoStatsSnapshot> pruned_io(2);
-      bool first_config = true;
-      for (size_t workers : kWorkerCounts) {
-        for (bool read_ahead : {false, true}) {
-          MaxRSServerOptions options = BaseServerOptions(workers);
-          options.routing_mode = routing;
-          options.read_ahead = read_ahead;
-          ASSERT_EQ(options.pruning_mode, ServePruningMode::kAuto);
-          MaxRSServer server(*env, *handle, options);
-          for (size_t q = 0; q < 2; ++q) {
-            auto served = server.Submit(kRects[q][0], kRects[q][1]);
-            ASSERT_TRUE(served.ok())
-                << served.status().ToString() << " (" << shards << " shards, "
-                << workers << " workers, read_ahead=" << read_ahead << ")";
-            ExpectBitIdentical(*served, oracle[q]);
-            EXPECT_LE(served->stats.io.total(), oracle[q].stats.io.total())
-                << shards << " shards, query " << q
-                << ": pruning must never add block transfers";
-            if (shards < 2) {
-              EXPECT_EQ(served->stats.io.shards_pruned, 0u)
-                  << "single-shard serving has nothing to prune";
-            }
-            if (first_config) {
-              pruned_io[q] = served->stats.io;
-            } else {
-              EXPECT_EQ(served->stats.io.blocks_read,
-                        pruned_io[q].blocks_read)
-                  << shards << " shards, " << workers
-                  << " workers, read_ahead=" << read_ahead << ", query " << q;
-              EXPECT_EQ(served->stats.io.blocks_written,
-                        pruned_io[q].blocks_written)
-                  << shards << " shards, " << workers
-                  << " workers, read_ahead=" << read_ahead << ", query " << q;
-              EXPECT_EQ(served->stats.io.shards_pruned,
-                        pruned_io[q].shards_pruned)
-                  << "plan-time pruning must be schedule-independent";
-              EXPECT_EQ(served->stats.io.bound_skips,
-                        pruned_io[q].bound_skips)
-                  << "bound skips must be schedule-independent";
-            }
+    // Pruned serving at every worker count x read_ahead: bit-identical
+    // answers, block counts never above the un-pruned pipeline's, and
+    // the whole I/O ledger (including the pruning counters)
+    // deterministic across the sub-matrix.
+    std::vector<IoStatsSnapshot> pruned_io(2);
+    bool first_config = true;
+    for (size_t workers : kWorkerCounts) {
+      for (bool read_ahead : {false, true}) {
+        MaxRSServerOptions options = BaseServerOptions(workers);
+        options.read_ahead = read_ahead;
+        ASSERT_EQ(options.pruning_mode, ServePruningMode::kAuto);
+        MaxRSServer server(*env, *handle, options);
+        for (size_t q = 0; q < 2; ++q) {
+          auto served = server.Submit(kRects[q][0], kRects[q][1]);
+          ASSERT_TRUE(served.ok())
+              << served.status().ToString() << " (" << shards << " shards, "
+              << workers << " workers, read_ahead=" << read_ahead << ")";
+          ExpectBitIdentical(*served, oracle[q]);
+          EXPECT_LE(served->stats.io.total(), oracle[q].stats.io.total())
+              << shards << " shards, query " << q
+              << ": pruning must never add block transfers";
+          if (shards < 2) {
+            EXPECT_EQ(served->stats.io.shards_pruned, 0u)
+                << "single-shard serving has nothing to prune";
           }
-          first_config = false;
+          if (first_config) {
+            pruned_io[q] = served->stats.io;
+          } else {
+            EXPECT_EQ(served->stats.io.blocks_read,
+                      pruned_io[q].blocks_read)
+                << shards << " shards, " << workers
+                << " workers, read_ahead=" << read_ahead << ", query " << q;
+            EXPECT_EQ(served->stats.io.blocks_written,
+                      pruned_io[q].blocks_written)
+                << shards << " shards, " << workers
+                << " workers, read_ahead=" << read_ahead << ", query " << q;
+            EXPECT_EQ(served->stats.io.shards_pruned,
+                      pruned_io[q].shards_pruned)
+                << "plan-time pruning must be schedule-independent";
+            EXPECT_EQ(served->stats.io.bound_skips,
+                      pruned_io[q].bound_skips)
+                << "bound skips must be schedule-independent";
+          }
         }
+        first_config = false;
       }
     }
   }
@@ -182,44 +176,39 @@ TEST(PruningEquivalenceTest, SelectiveRectPrunesAndColdIoSublinear) {
   // quadruple the blocks.
   constexpr size_t kN = 2816;
   const double kRectW = 200, kRectH = 200;
-  for (ServeRoutingMode routing :
-       {ServeRoutingMode::kStreaming, ServeRoutingMode::kMaterialized}) {
-    uint64_t pruned_io_16 = 0;
-    for (size_t shards : {size_t{16}, size_t{64}}) {
-      auto env = MakeSkewedEnv(19, kN);
-      DatasetHandleOptions ingest;
-      ingest.shard_count = shards;
-      ingest.memory_bytes = kIngestMemoryBytes;
-      auto handle = DatasetHandle::Ingest(*env, kDatasetFile, ingest);
-      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  uint64_t pruned_io_16 = 0;
+  for (size_t shards : {size_t{16}, size_t{64}}) {
+    auto env = MakeSkewedEnv(19, kN);
+    DatasetHandleOptions ingest;
+    ingest.shard_count = shards;
+    ingest.memory_bytes = kIngestMemoryBytes;
+    auto handle = DatasetHandle::Ingest(*env, kDatasetFile, ingest);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
 
-      MaxRSServerOptions unpruned = BaseServerOptions(1);
-      unpruned.routing_mode = routing;
-      unpruned.pruning_mode = ServePruningMode::kOff;
-      MaxRSServer unpruned_server(*env, *handle, unpruned);
-      auto reference = unpruned_server.Submit(kRectW, kRectH);
-      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    MaxRSServerOptions unpruned = BaseServerOptions(1);
+    unpruned.pruning_mode = ServePruningMode::kOff;
+    MaxRSServer unpruned_server(*env, *handle, unpruned);
+    auto reference = unpruned_server.Submit(kRectW, kRectH);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-      MaxRSServerOptions options = BaseServerOptions(1);
-      options.routing_mode = routing;
-      MaxRSServer server(*env, *handle, options);
-      auto served = server.Submit(kRectW, kRectH);
-      ASSERT_TRUE(served.ok()) << served.status().ToString();
-      ExpectBitIdentical(*served, *reference);
+    MaxRSServerOptions options = BaseServerOptions(1);
+    MaxRSServer server(*env, *handle, options);
+    auto served = server.Submit(kRectW, kRectH);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ExpectBitIdentical(*served, *reference);
 
-      EXPECT_GT(served->stats.io.shards_pruned, 0u)
-          << shards << " shards: the selective rect must skip shards";
-      EXPECT_LT(served->stats.io.shards_pruned, shards)
-          << "at least the winning shard must survive";
-      EXPECT_LT(served->stats.io.total(), reference->stats.io.total())
-          << shards << " shards: pruning must save blocks on this workload";
+    EXPECT_GT(served->stats.io.shards_pruned, 0u)
+        << shards << " shards: the selective rect must skip shards";
+    EXPECT_LT(served->stats.io.shards_pruned, shards)
+        << "at least the winning shard must survive";
+    EXPECT_LT(served->stats.io.total(), reference->stats.io.total())
+        << shards << " shards: pruning must save blocks on this workload";
 
-      if (shards == 16) {
-        pruned_io_16 = served->stats.io.total();
-      } else {
-        EXPECT_LT(served->stats.io.total(), 4 * pruned_io_16)
-            << "cold blocks must grow sublinearly in the shard count";
-      }
+    if (shards == 16) {
+      pruned_io_16 = served->stats.io.total();
+    } else {
+      EXPECT_LT(served->stats.io.total(), 4 * pruned_io_16)
+          << "cold blocks must grow sublinearly in the shard count";
     }
   }
 }

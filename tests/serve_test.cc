@@ -898,8 +898,8 @@ TEST(ServeTest, QuerySpecValidationIsTheSingleGate) {
 }
 
 TEST(ServeTest, PerQueryModeOverridesAreBitIdenticalToDefaults) {
-  // The soundness property behind the (w,h)-only cache key: pruning and
-  // routing overrides change the execution strategy, never the answer.
+  // The soundness property behind the (w,h)-only cache key: a pruning
+  // override changes the execution strategy, never the answer.
   // Weight-skewed data (the pruning_equivalence_test recipe: every third
   // point in a heavy strip) at 16 shards guarantees the kAuto baseline
   // genuinely prunes, so the pruning=off override has something to turn
@@ -929,12 +929,6 @@ TEST(ServeTest, PerQueryModeOverridesAreBitIdenticalToDefaults) {
   ASSERT_TRUE(baseline.ok());
   EXPECT_EQ(baseline->served_from, ServedFrom::kExecuted);
 
-  QuerySpec materialized = defaults;
-  materialized.routing = ServeRoutingMode::kMaterialized;
-  auto via_materialized = server.Submit(materialized);
-  ASSERT_TRUE(via_materialized.ok());
-  ExpectBitIdentical(baseline->result, via_materialized->result);
-
   const uint64_t unpruned_before = server.counters().unpruned;
   QuerySpec unpruned = defaults;
   unpruned.pruning = ServePruningMode::kOff;
@@ -948,13 +942,6 @@ TEST(ServeTest, PerQueryModeOverridesAreBitIdenticalToDefaults) {
   // A deliberate pruning=off is a choice, not a degradation: the kAuto
   // fallback counter must not move.
   EXPECT_EQ(server.counters().unpruned, unpruned_before);
-
-  QuerySpec both = defaults;
-  both.routing = ServeRoutingMode::kMaterialized;
-  both.pruning = ServePruningMode::kOff;
-  auto via_both = server.Submit(both);
-  ASSERT_TRUE(via_both.ok());
-  ExpectBitIdentical(baseline->result, via_both->result);
 }
 
 TEST(ServeTest, DeadlineOverrideBoundsAFollowerWithUnboundedDefaults) {

@@ -11,11 +11,10 @@
 // counts {1, 2, 8}, and that the per-query I/O stays in the linear
 // no-sort/no-global-merge class: a bounded envelope across shard counts,
 // strictly below the sort-paying one-shot run, and ordered
-// streaming-routing < materialized-routing < global-merge on the same
-// server (the acceptance criteria that part-file materialization and the
-// global piece merge are each absent from their cheaper pipeline's I/O
-// profile). The streaming-vs-materialized equivalence matrix itself lives
-// in streaming_equivalence_test.cc.
+// per-shard < global-merge on the same server (the acceptance criterion
+// that the global piece merge is absent from the per-shard pipeline's I/O
+// profile). The streaming equivalence matrix itself lives in
+// streaming_equivalence_test.cc.
 #include <algorithm>
 #include <vector>
 
@@ -248,16 +247,14 @@ TEST(ShardPropertyTest, PerQueryIoStaysInTheLinearClass) {
   }
 }
 
-TEST(ShardPropertyTest, PerQueryIoOrdersStreamingBelowMaterializedBelowGlobal) {
-  // Acceptance ladder of the three per-query pipelines over one dataset,
-  // handle, and budget — only the execution strategy differs, so each I/O
+TEST(ShardPropertyTest, PerQueryIoOrdersStreamingBelowGlobal) {
+  // Acceptance ladder of the two per-query pipelines over one dataset,
+  // handle, and budget — only the execution strategy differs, so the I/O
   // gap IS the work the cheaper pipeline skips:
   //
-  //   streaming per-shard  <  materialized per-shard:  the gap is the part
-  //     files — routed pieces/edges/spans travel through in-memory channels
-  //     and are written at most once (spill) instead of always;
-  //   materialized per-shard  <  global-merge:  the gap is the global
-  //     k-way piece merge and the root division pass it feeds.
+  //   streaming per-shard  <  global-merge:  the gap is the global k-way
+  //     piece merge and the root division pass it feeds (routed records
+  //     travel through in-memory channels, never through part files).
   //
   // The rect and budget put the global mode on the dividing path (12000
   // pieces over a ~1638-piece base case) while each of the 8 shards (1500
@@ -271,20 +268,16 @@ TEST(ShardPropertyTest, PerQueryIoOrdersStreamingBelowMaterializedBelowGlobal) {
 
   struct Config {
     ServeSolveMode solve;
-    ServeRoutingMode routing;
     const char* name;
   };
   const Config kConfigs[] = {
-      {ServeSolveMode::kPerShard, ServeRoutingMode::kStreaming, "streaming"},
-      {ServeSolveMode::kPerShard, ServeRoutingMode::kMaterialized,
-       "materialized"},
-      {ServeSolveMode::kGlobalMerge, ServeRoutingMode::kStreaming, "global"},
+      {ServeSolveMode::kPerShard, "streaming"},
+      {ServeSolveMode::kGlobalMerge, "global"},
   };
-  uint64_t io_by_mode[3] = {0, 0, 0};
-  MaxRSResult results[3];
-  for (int m = 0; m < 3; ++m) {
+  uint64_t io_by_mode[2] = {0, 0};
+  MaxRSResult results[2];
+  for (int m = 0; m < 2; ++m) {
     MaxRSServerOptions options = ServerOptions(1, kConfigs[m].solve);
-    options.routing_mode = kConfigs[m].routing;
     options.cache_entries = 0;
     MaxRSServer server(*env, *handle, options);
     const IoStatsSnapshot before = env->stats().Snapshot();
@@ -294,10 +287,7 @@ TEST(ShardPropertyTest, PerQueryIoOrdersStreamingBelowMaterializedBelowGlobal) {
     results[m] = *r;
   }
   ExpectBitIdentical(results[0], results[1]);
-  ExpectBitIdentical(results[0], results[2]);
   EXPECT_LT(io_by_mode[0], io_by_mode[1])
-      << "streaming routing must beat materialized part files";
-  EXPECT_LT(io_by_mode[1], io_by_mode[2])
       << "per-shard must beat the global merge";
 }
 

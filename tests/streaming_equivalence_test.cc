@@ -1,17 +1,17 @@
-// Streaming-vs-materialized equivalence battery for the zero-
-// materialization query pipeline (serve/maxrs_server.h,
-// ServeRoutingMode::kStreaming, and core MaxRSOptions::streaming_division).
+// Equivalence battery for the zero-materialization query pipeline: the
+// server's streaming per-shard routing (serve/maxrs_server.h) and the core
+// recursion's MaxRSOptions::streaming_division.
 //
-// The streaming pipeline replaces every routed part file with an in-memory
-// channel (io/record_stream.h) and overlaps routing with solving — but the
-// answer, the division statistics, and the schedule-independence of the
-// per-query IoStats must not move:
+// The streaming pipeline hands every routed stream over through an
+// in-memory channel (io/record_stream.h) and overlaps routing with solving
+// — but the answer, the division statistics, and the schedule-independence
+// of the per-query IoStats must not move:
 //
-//   - bit-identical answers to the materialized routing across shard
-//     counts {1, 2, 7, 16, 64} x worker counts {1, 2, 8} x read_ahead
-//     on/off, with per-query I/O deterministic within each configuration
-//     (independent of workers and read_ahead) and never above the
-//     materialized pipeline's;
+//   - bit-identical answers to one-shot RunExactMaxRS (the integer weights
+//     make every sum exact) across shard counts {1, 2, 7, 16, 64} x worker
+//     counts {1, 2, 8} x read_ahead on/off, with per-query I/O
+//     deterministic within each configuration (independent of workers and
+//     read_ahead);
 //   - a memory-cap sweep from cap=0 (every routed record spills — the
 //     materialization worst case) through mid-stream-crossing caps to
 //     cap=SIZE_MAX (pure in-memory hand-off): identical answers at every
@@ -67,7 +67,22 @@ void ExpectBitIdentical(const MaxRSResult& a, const MaxRSResult& b) {
   EXPECT_EQ(a.region, b.region);
 }
 
-TEST(StreamingEquivalenceTest, MatchesMaterializedAcrossShardWorkerReadAhead) {
+// The contract: one-shot RunExactMaxRS over the same objects, per rect.
+std::vector<MaxRSResult> OneShotOracle(Env& env) {
+  std::vector<MaxRSResult> oracle;
+  for (const auto& rect : kRects) {
+    MaxRSOptions options;
+    options.rect_width = rect[0];
+    options.rect_height = rect[1];
+    options.memory_bytes = kQueryMemoryBytes;
+    auto r = RunExactMaxRS(env, kDatasetFile, options);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    oracle.push_back(r.ok() ? *r : MaxRSResult{});
+  }
+  return oracle;
+}
+
+TEST(StreamingEquivalenceTest, MatchesOneShotAcrossShardWorkerReadAhead) {
   constexpr size_t kN = 2816;  // realizes all 64 shards (shard_property_test)
   const uint64_t kSeed = 3;
   for (size_t shards : kShardCounts) {
@@ -79,28 +94,15 @@ TEST(StreamingEquivalenceTest, MatchesMaterializedAcrossShardWorkerReadAhead) {
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
     ASSERT_EQ(handle->shards().size(), shards);
 
-    // Materialized oracle: answers and per-query block counts.
-    std::vector<MaxRSResult> oracle;
-    {
-      MaxRSServerOptions options = BaseServerOptions(1);
-      options.routing_mode = ServeRoutingMode::kMaterialized;
-      MaxRSServer server(*env, *handle, options);
-      for (const auto& rect : kRects) {
-        auto r = server.Submit(rect[0], rect[1]);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-        oracle.push_back(*r);
-      }
-    }
+    const std::vector<MaxRSResult> oracle = OneShotOracle(*env);
 
-    // Streaming at every worker count x read_ahead: bit-identical answers,
-    // I/O deterministic across the whole sub-matrix and never above the
-    // materialized pipeline's.
+    // Every worker count x read_ahead: bit-identical answers, I/O
+    // deterministic across the whole sub-matrix.
     std::vector<IoStatsSnapshot> streaming_io(2);
     bool first_config = true;
     for (size_t workers : kWorkerCounts) {
       for (bool read_ahead : {false, true}) {
         MaxRSServerOptions options = BaseServerOptions(workers);
-        options.routing_mode = ServeRoutingMode::kStreaming;
         options.read_ahead = read_ahead;
         MaxRSServer server(*env, *handle, options);
         for (size_t q = 0; q < 2; ++q) {
@@ -109,9 +111,6 @@ TEST(StreamingEquivalenceTest, MatchesMaterializedAcrossShardWorkerReadAhead) {
               << served.status().ToString() << " (" << shards << " shards, "
               << workers << " workers, read_ahead=" << read_ahead << ")";
           ExpectBitIdentical(*served, oracle[q]);
-          EXPECT_LE(served->stats.io.total(), oracle[q].stats.io.total())
-              << shards << " shards, query " << q
-              << ": streaming must never out-spend materialized routing";
           if (first_config) {
             streaming_io[q] = served->stats.io;
           } else {
@@ -148,17 +147,7 @@ TEST(StreamingEquivalenceTest, SpillCapSweepIdenticalAtEverySpillLevel) {
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
   ASSERT_EQ(handle->shards().size(), kShards);
 
-  std::vector<MaxRSResult> oracle;
-  {
-    MaxRSServerOptions options = BaseServerOptions(1);
-    options.routing_mode = ServeRoutingMode::kMaterialized;
-    MaxRSServer server(*env, *handle, options);
-    for (const auto& rect : kRects) {
-      auto r = server.Submit(rect[0], rect[1]);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      oracle.push_back(*r);
-    }
-  }
+  const std::vector<MaxRSResult> oracle = OneShotOracle(*env);
 
   uint64_t io_at_zero_cap = 0, io_at_no_cap = 0;
   for (size_t cap : {size_t{0}, size_t{4096}, size_t{1} << 16, kNoCap}) {
@@ -167,7 +156,6 @@ TEST(StreamingEquivalenceTest, SpillCapSweepIdenticalAtEverySpillLevel) {
     for (size_t workers : {size_t{1}, size_t{4}}) {
       for (bool write_behind : {false, true}) {
         MaxRSServerOptions options = BaseServerOptions(workers);
-        options.routing_mode = ServeRoutingMode::kStreaming;
         options.stream_channel_bytes = cap;
         options.write_behind = write_behind;
         MaxRSServer server(*env, *handle, options);
