@@ -11,7 +11,7 @@ namespace bench {
 
 RunOutcome RunAlgorithm(Algorithm algo, const std::vector<SpatialObject>& objects,
                         double range, size_t memory_bytes,
-                        size_t num_threads, bool read_ahead) {
+                        size_t num_threads) {
   auto env = NewMemEnv(kBlockSize);
   MAXRS_CHECK_OK(WriteDataset(*env, "dataset", objects));
   env->stats().Reset();
@@ -24,7 +24,6 @@ RunOutcome RunAlgorithm(Algorithm algo, const std::vector<SpatialObject>& object
       options.rect_height = range;
       options.memory_bytes = memory_bytes;
       options.num_threads = num_threads;
-      options.read_ahead = read_ahead;
       auto result = RunExactMaxRS(*env, "dataset", options);
       MAXRS_CHECK_OK(result.status());
       outcome.io = result->stats.io.total();

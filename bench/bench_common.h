@@ -52,12 +52,11 @@ struct RunOutcome {
 };
 
 /// Stages `objects` into a fresh 4KB-block MemEnv and runs `algo`.
-/// `num_threads` feeds the parallel execution engine and `read_ahead` the
-/// async prefetch layer; the baselines are serial/synchronous and ignore
-/// both.
+/// `num_threads` feeds the parallel execution engine; the baselines are
+/// serial and ignore it.
 RunOutcome RunAlgorithm(Algorithm algo, const std::vector<SpatialObject>& objects,
                         double range, size_t memory_bytes,
-                        size_t num_threads = 1, bool read_ahead = false);
+                        size_t num_threads = 1);
 
 /// One measurement for the machine-readable perf log (--json). The schema is
 /// deliberately flat so downstream tooling can diff runs per

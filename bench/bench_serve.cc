@@ -18,8 +18,6 @@
 //   --threads=1,2,8    comma-separated worker counts
 //   --queries=32       distinct rects per round
 //   --shards=8         x-slab shard count (0 derives)
-//   --read_ahead       double-buffered async prefetch on ingest + queries
-//                      (round names gain a "+ra" suffix in the JSON)
 //   --json=PATH        output path (default BENCH_serve.json)
 //   --quick            small dataset / workload for CI smoke
 //   --seed=N           dataset seed
@@ -114,7 +112,6 @@ int main(int argc, char** argv) {
   const size_t num_queries =
       static_cast<size_t>(flags.GetInt("queries", quick ? 8 : 32));
   const size_t shard_count = static_cast<size_t>(flags.GetInt("shards", 8));
-  const bool read_ahead = flags.GetBool("read_ahead", false);
   const std::string json_path = flags.GetString("json", "BENCH_serve.json");
   const std::vector<uint64_t> thread_counts =
       ParseU64List(flags.GetString("threads", quick ? "1,2" : "1,2,8"));
@@ -141,7 +138,6 @@ int main(int argc, char** argv) {
     ingest_options.shard_count = shard_count;
     ingest_options.memory_bytes = kBufferSynthetic;
     ingest_options.num_threads = workers;
-    ingest_options.read_ahead = read_ahead;
     auto handle = DatasetHandle::Ingest(*env, "dataset", ingest_options);
     MAXRS_CHECK_MSG(handle.ok(), "ingest failed");
 
@@ -153,7 +149,6 @@ int main(int argc, char** argv) {
     // workload's rects are all well below half the extent, but the bench
     // should not silently depend on that.
     server_options.cache_max_extent_fraction = 1.0;
-    server_options.read_ahead = read_ahead;
     MaxRSServer server(*env, *handle, server_options);
 
     for (const bool warm : {false, true}) {
@@ -181,10 +176,8 @@ int main(int argc, char** argv) {
       // io_blocks records the round's TOTAL transfers: exact, so the CI
       // baseline diff flags any growth (a truncated per-query average
       // could hide a small regression).
-      const std::string round_name =
-          std::string(warm ? "serve_warm" : "serve_cold") +
-          (read_ahead ? "+ra" : "");
-      records.push_back({"bench_serve", round_name, "uniform", n, workers,
+      records.push_back({"bench_serve", warm ? "serve_warm" : "serve_cold",
+                         "uniform", n, workers,
                          kBufferSynthetic, per_query, io, weights[0]});
     }
 
@@ -211,11 +204,9 @@ int main(int argc, char** argv) {
                   "cold_global", workers,
                   wall > 0.0 ? static_cast<double>(rects.size()) / wall : 0.0,
                   per_query, io / rects.size(), io);
-      records.push_back({"bench_serve",
-                         std::string("serve_cold_globalmerge") +
-                             (read_ahead ? "+ra" : ""),
-                         "uniform", n, workers, kBufferSynthetic, per_query,
-                         io, weights[0]});
+      records.push_back({"bench_serve", "serve_cold_globalmerge", "uniform",
+                         n, workers, kBufferSynthetic, per_query, io,
+                         weights[0]});
     }
   }
 
@@ -237,7 +228,6 @@ int main(int argc, char** argv) {
     DatasetHandleOptions ingest_options;
     ingest_options.shard_count = shard_count;
     ingest_options.memory_bytes = kBufferSynthetic;
-    ingest_options.read_ahead = read_ahead;
     auto handle = DatasetHandle::Ingest(*env, "dataset", ingest_options);
     MAXRS_CHECK_MSG(handle.ok(), "ingest failed");
 
@@ -246,7 +236,6 @@ int main(int argc, char** argv) {
     serial_options.memory_bytes = kBufferSynthetic;
     serial_options.cache_entries = 0;  // cold by construction
     serial_options.cache_max_extent_fraction = 1.0;
-    serial_options.read_ahead = read_ahead;
 
     uint64_t serial_io = 0;
     std::vector<double> serial_weights;
@@ -278,11 +267,8 @@ int main(int argc, char** argv) {
                 wall > 0.0 ? static_cast<double>(batch_rects.size()) / wall
                            : 0.0,
                 per_query, io / batch_rects.size(), io);
-    records.push_back({"bench_serve",
-                       std::string("serve_cold_batched") +
-                           (read_ahead ? "+ra" : ""),
-                       "uniform", n, 1, kBufferSynthetic, per_query, io,
-                       weights[0]});
+    records.push_back({"bench_serve", "serve_cold_batched", "uniform", n, 1,
+                       kBufferSynthetic, per_query, io, weights[0]});
   }
 
   // Pruning round: the same serve pipeline on the clustered dataset, where
@@ -306,7 +292,6 @@ int main(int argc, char** argv) {
     ingest_options.shard_count = shard_count;
     ingest_options.memory_bytes = kBufferSynthetic;
     ingest_options.num_threads = workers;
-    ingest_options.read_ahead = read_ahead;
     auto handle = DatasetHandle::Ingest(*env, "dataset", ingest_options);
     MAXRS_CHECK_MSG(handle.ok(), "ingest failed");
 
@@ -315,7 +300,6 @@ int main(int argc, char** argv) {
     base_options.memory_bytes = kBufferSynthetic;
     base_options.cache_entries = 0;  // cold by construction
     base_options.cache_max_extent_fraction = 1.0;
-    base_options.read_ahead = read_ahead;
 
     uint64_t unpruned_io = 0;
     for (const bool prune : {false, true}) {
@@ -360,9 +344,7 @@ int main(int argc, char** argv) {
                       : 0.0,
                   per_query, io / pruned_rects.size(), io);
       records.push_back({"bench_serve",
-                         std::string(prune ? "serve_cold_pruned"
-                                           : "serve_cold_unpruned") +
-                             (read_ahead ? "+ra" : ""),
+                         prune ? "serve_cold_pruned" : "serve_cold_unpruned",
                          "clustered", n, workers, kBufferSynthetic, per_query,
                          io, weights[0]});
     }

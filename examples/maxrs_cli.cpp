@@ -10,9 +10,7 @@
 // budget (--memory-kb, default 1024). --algo selects exact (default),
 // naive, or asb — the paper's comparison methods — for I/O comparisons on
 // your own data. --threads=T runs the exact solver on the parallel engine
-// (identical answer and I/O count at any thread count); --read_ahead
-// double-buffers the sequential scans through the async prefetch layer
-// (identical answer and I/O count, fetch overlapped with compute).
+// (identical answer and I/O count at any thread count).
 // --algo=serve ingests into a sharded DatasetHandle and answers through the
 // serve layer's index-pruned execution (--shards=S, --no_pruning to compare
 // against un-pruned serving) — same answer, fewer query-time blocks when
@@ -122,7 +120,6 @@ int main(int argc, char** argv) {
       }
       MaxRSServerOptions server_options;
       server_options.memory_bytes = memory;
-      server_options.read_ahead = flags.GetBool("read_ahead", false);
       if (flags.GetBool("no_pruning", false)) {
         server_options.pruning_mode = ServePruningMode::kOff;
       }
@@ -151,7 +148,6 @@ int main(int argc, char** argv) {
     options.rect_height = height;
     options.memory_bytes = memory;
     options.num_threads = static_cast<size_t>(flags.GetInt("threads", 1));
-    options.read_ahead = flags.GetBool("read_ahead", false);
     auto result = RunExactMaxRS(*env, "input", options);
     if (!result.ok()) {
       std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());

@@ -9,7 +9,6 @@
 #include "core/merge_sweep.h"
 #include "core/plane_sweep.h"
 #include "io/external_sort.h"
-#include "io/prefetch_reader.h"
 #include "io/record_io.h"
 #include "io/temp_manager.h"
 #include "util/check.h"
@@ -187,8 +186,7 @@ class Driver {
     channels.reserve(num_children);
     for (size_t k = 0; k < num_children; ++k) {
       channels.push_back(std::make_unique<RecordChannel<PieceRecord>>(
-          env_, temps_.NewName("spill"), options_.stream_channel_bytes,
-          options_.write_behind));
+          env_, temps_.NewName("spill"), options_.stream_channel_bytes));
     }
     std::string span_file = temps_.NewName("spans");
     uint64_t num_spans = 0;
@@ -200,8 +198,7 @@ class Driver {
       Status st = [&]() -> Status {
         MAXRS_ASSIGN_OR_RETURN(
             RecordWriter<SpanRecord> span_writer,
-            RecordWriter<SpanRecord>::Make(env_, span_file,
-                                           options_.write_behind));
+            RecordWriter<SpanRecord>::Make(env_, span_file));
         auto emit_piece = [&](size_t k, const PieceRecord& piece) {
           return channels[k]->Append(piece);
         };
@@ -276,9 +273,8 @@ class Driver {
 
     std::string out = temps_.NewName("slab");
     MAXRS_RETURN_IF_ERROR(MergeSweep(env_, ranges, child_slab_files, span_file,
-                                     out, options_.objective,
-                                     options_.read_ahead, options_.write_behind,
-                                     options_.cancel, best_out));
+                                     out, options_.objective, options_.cancel,
+                                     best_out));
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_->merges;
@@ -343,8 +339,7 @@ class Driver {
                                const Interval& slab,
                                SlabBest* best_out = nullptr) {
     MAXRS_ASSIGN_OR_RETURN(std::vector<PieceRecord> pieces,
-                           ReadRecordFilePrefetched<PieceRecord>(
-                               env_, piece_file, options_.read_ahead));
+                           ReadRecordFile<PieceRecord>(env_, piece_file));
     temps_.Release(piece_file);
     temps_.Release(edge_file);
     const std::vector<SlabTuple> tuples =
@@ -387,8 +382,7 @@ class Driver {
     std::string out = temps_.NewName("slab");
     MAXRS_RETURN_IF_ERROR(MergeSweep(env_, division.children, child_slab_files,
                                      division.span_file, out,
-                                     options_.objective, options_.read_ahead,
-                                     options_.write_behind, options_.cancel,
+                                     options_.objective, options_.cancel,
                                      best_out));
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
@@ -423,9 +417,8 @@ Status SolvePreparedOnPool(Env& env, const PreparedInput& input,
       std::string root_slab_file,
       core_internal::SolveSlab(env, temps, input, options, stats, pool));
   {
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SlabTuple> reader,
-                           PrefetchingReader<SlabTuple>::Make(
-                               env, root_slab_file, options.read_ahead));
+    MAXRS_ASSIGN_OR_RETURN(RecordReader<SlabTuple> reader,
+                           RecordReader<SlabTuple>::Make(env, root_slab_file));
     SlabTuple t{};
     while (reader.Next(&t)) visit(t);
     MAXRS_RETURN_IF_ERROR(reader.final_status());
@@ -453,9 +446,9 @@ Result<std::string> SolveSlab(Env& env, TempFileManager& temps,
     // materializing per-child piece files. Results, stats, and division
     // decisions are bit-identical to the materialized path below.
     Result<std::string> out = [&]() -> Result<std::string> {
-      MAXRS_ASSIGN_OR_RETURN(FileRecordSource<PieceRecord> source,
-                             FileRecordSource<PieceRecord>::Make(
-                                 env, input.piece_file, options.read_ahead));
+      MAXRS_ASSIGN_OR_RETURN(
+          FileRecordSource<PieceRecord> source,
+          FileRecordSource<PieceRecord>::Make(env, input.piece_file));
       core_internal::EdgeFileProvider provider =
           [&input]() -> Result<std::string> { return {input.edge_file}; };
       return driver.StreamSolve(&source, provider, input.x_range, /*depth=*/0,
@@ -564,9 +557,8 @@ Status VisitRootTuples(Env& env, const std::string& object_file,
   }
   const bool minimize = options.objective == SweepObjective::kMinimize;
 
-  MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> objects,
-                         PrefetchingReader<SpatialObject>::Make(
-                             env, object_file, options.read_ahead));
+  MAXRS_ASSIGN_OR_RETURN(RecordReader<SpatialObject> objects,
+                         RecordReader<SpatialObject>::Make(env, object_file));
   const uint64_t n = objects.total();
   stats->input_objects = n;
 
@@ -575,9 +567,8 @@ Status VisitRootTuples(Env& env, const std::string& object_file,
   // This needs one extra counted scan to find the box.
   Interval root_slab{-kInf, kInf};
   if (minimize) {
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> scan,
-                           PrefetchingReader<SpatialObject>::Make(
-                               env, object_file, options.read_ahead));
+    MAXRS_ASSIGN_OR_RETURN(RecordReader<SpatialObject> scan,
+                           RecordReader<SpatialObject>::Make(env, object_file));
     Rect box{kInf, -kInf, kInf, -kInf};
     SpatialObject o{};
     bool any = false;
@@ -655,8 +646,7 @@ Status VisitRootTuples(Env& env, const std::string& object_file,
   // so with a pool they run concurrently (and each parallelizes internally);
   // both comparators are total orders, making the sorted files — and hence
   // everything downstream — canonical for any thread count.
-  ExternalSortOptions sort_options{options.memory_bytes, pool.get(),
-                                   options.read_ahead};
+  ExternalSortOptions sort_options{options.memory_bytes, pool.get()};
   std::string sorted_pieces = temps.NewName("pieces");
   std::string sorted_edges = temps.NewName("edges");
   {

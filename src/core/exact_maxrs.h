@@ -66,15 +66,6 @@ struct MaxRSOptions {
   /// each buffering a wave of T run chunks of ~memory_bytes).
   size_t num_threads = 1;
 
-  /// Double-buffered asynchronous read-ahead (io/prefetch_reader.h) on the
-  /// hot sequential streams: the object/transform scans, external-sort run
-  /// formation and merge fan-in, MergeSweep inputs, and the root slab-file
-  /// scan. Block k+1 is fetched by a background I/O worker while block k is
-  /// deserialized. Results and block counts are bit-identical with the
-  /// synchronous path at any thread count; only the overlap of I/O and
-  /// compute changes. Costs one extra block of buffer per open stream.
-  bool read_ahead = false;
-
   /// kMaximize is the paper's MaxRS. kMinimize runs the MinRS extension's
   /// min-objective sweep with placements restricted to the dataset bounding
   /// box (unrestricted MinRS is trivially 0 in empty space); use RunMinRS
@@ -99,13 +90,6 @@ struct MaxRSOptions {
   /// routed records and the cap — never of scheduling). 0 spills
   /// everything (the fully-external schedule); SIZE_MAX never spills.
   size_t stream_channel_bytes = 1 << 20;
-
-  /// Double-buffered asynchronous write-behind (io/record_io.h) on the hot
-  /// sequential writers — the dual of read_ahead: block k is flushed by a
-  /// background I/O worker while block k+1 is serialized. Applied to the
-  /// MergeSweep output writers and the streaming division's span/spill
-  /// writers. Results and block counts are bit-identical either way.
-  bool write_behind = false;
 
   /// Optional cooperative cancellation (util/cancel.h), not owned; must
   /// outlive the run. Polled at every recursion-node entry, routing loop,

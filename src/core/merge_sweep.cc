@@ -3,28 +3,25 @@
 #include <limits>
 #include <memory>
 
-#include "io/prefetch_reader.h"
 #include "io/record_io.h"
 #include "util/check.h"
 
 namespace maxrs {
 namespace {
 
-/// Sequential reader with one-record lookahead; double-buffers blocks when
-/// constructed with read_ahead.
+/// Sequential reader with one-record lookahead.
 template <typename T>
 class PeekedReader {
  public:
-  static Result<PeekedReader<T>> Make(Env& env, const std::string& name,
-                                      bool read_ahead) {
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<T> reader,
-                           PrefetchingReader<T>::Make(env, name, read_ahead));
+  static Result<PeekedReader<T>> Make(Env& env, const std::string& name) {
+    MAXRS_ASSIGN_OR_RETURN(RecordReader<T> reader,
+                           RecordReader<T>::Make(env, name));
     PeekedReader<T> peeked(std::move(reader));
     MAXRS_RETURN_IF_ERROR(peeked.Advance());
     return {std::move(peeked)};
   }
 
-  explicit PeekedReader(PrefetchingReader<T> reader)
+  explicit PeekedReader(RecordReader<T> reader)
       : reader_(std::move(reader)) {}
 
   bool has_value() const { return has_value_; }
@@ -42,7 +39,7 @@ class PeekedReader {
   }
 
  private:
-  PrefetchingReader<T> reader_;
+  RecordReader<T> reader_;
   T head_{};
   bool has_value_ = false;
 };
@@ -52,20 +49,20 @@ class PeekedReader {
 Status MergeSweep(Env& env, const std::vector<ChildSlab>& children,
                   const std::vector<std::string>& child_slab_files,
                   const std::string& span_file, const std::string& output_file,
-                  SweepObjective objective, bool read_ahead, bool write_behind,
-                  const CancelToken* cancel, SlabBest* best_out) {
+                  SweepObjective objective, const CancelToken* cancel,
+                  SlabBest* best_out) {
   std::vector<Interval> ranges;
   ranges.reserve(children.size());
   for (const ChildSlab& child : children) ranges.push_back(child.x_range);
   return MergeSweep(env, ranges, child_slab_files, span_file, output_file,
-                    objective, read_ahead, write_behind, cancel, best_out);
+                    objective, cancel, best_out);
 }
 
 Status MergeSweep(Env& env, const std::vector<Interval>& child_ranges,
                   const std::vector<std::string>& child_slab_files,
                   const std::string& span_file, const std::string& output_file,
-                  SweepObjective objective, bool read_ahead, bool write_behind,
-                  const CancelToken* cancel, SlabBest* best_out) {
+                  SweepObjective objective, const CancelToken* cancel,
+                  SlabBest* best_out) {
   const size_t m = child_ranges.size();
   MAXRS_CHECK(m >= 1 && child_slab_files.size() == m);
 
@@ -76,22 +73,19 @@ Status MergeSweep(Env& env, const std::vector<Interval>& child_ranges,
     if (child_slab_files[i].empty()) continue;
     MAXRS_ASSIGN_OR_RETURN(
         PeekedReader<SlabTuple> reader,
-        PeekedReader<SlabTuple>::Make(env, child_slab_files[i], read_ahead));
+        PeekedReader<SlabTuple>::Make(env, child_slab_files[i]));
     slabs[i] = std::make_unique<PeekedReader<SlabTuple>>(std::move(reader));
   }
   // Two independent sequential scans over the span file: one delivering
   // bottom events (y_lo order), one delivering top events (y_hi order; equal
   // to y_lo order because all spans have the original height d2).
-  MAXRS_ASSIGN_OR_RETURN(
-      PeekedReader<SpanRecord> bottoms,
-      PeekedReader<SpanRecord>::Make(env, span_file, read_ahead));
-  MAXRS_ASSIGN_OR_RETURN(
-      PeekedReader<SpanRecord> tops,
-      PeekedReader<SpanRecord>::Make(env, span_file, read_ahead));
+  MAXRS_ASSIGN_OR_RETURN(PeekedReader<SpanRecord> bottoms,
+                         PeekedReader<SpanRecord>::Make(env, span_file));
+  MAXRS_ASSIGN_OR_RETURN(PeekedReader<SpanRecord> tops,
+                         PeekedReader<SpanRecord>::Make(env, span_file));
 
   MAXRS_ASSIGN_OR_RETURN(RecordWriter<SlabTuple> writer,
-                         RecordWriter<SlabTuple>::Make(env, output_file,
-                                                       write_behind));
+                         RecordWriter<SlabTuple>::Make(env, output_file));
 
   // Sweep state (Algorithm 1 lines 1-4): per-child latest max-interval and
   // the spanning weight currently over it.

@@ -30,10 +30,6 @@ namespace maxrs {
 /// Merges `child_slab_files[i]` (the slab-file of children[i]) plus the
 /// spanning file into the slab-file `output_file` for the union slab.
 /// The objective must match the one the child slab-files were built with.
-/// With `read_ahead`, every input stream double-buffers its next block via
-/// the shared IoExecutor (io/prefetch_reader.h); with `write_behind`, the
-/// output writer flushes its blocks on the same executor (io/record_io.h).
-/// Output and block counts are identical in every schedule combination.
 /// A non-null `cancel` token is polled once per sweep event; an expired
 /// token aborts the merge with kDeadlineExceeded.
 /// A non-null `best_out` receives the running maximum of the emitted tuple
@@ -43,7 +39,6 @@ Status MergeSweep(Env& env, const std::vector<ChildSlab>& children,
                   const std::vector<std::string>& child_slab_files,
                   const std::string& span_file, const std::string& output_file,
                   SweepObjective objective = SweepObjective::kMaximize,
-                  bool read_ahead = false, bool write_behind = false,
                   const CancelToken* cancel = nullptr,
                   SlabBest* best_out = nullptr);
 
@@ -68,7 +63,6 @@ Status MergeSweep(Env& env, const std::vector<Interval>& child_ranges,
                   const std::vector<std::string>& child_slab_files,
                   const std::string& span_file, const std::string& output_file,
                   SweepObjective objective = SweepObjective::kMaximize,
-                  bool read_ahead = false, bool write_behind = false,
                   const CancelToken* cancel = nullptr,
                   SlabBest* best_out = nullptr);
 

@@ -114,7 +114,8 @@ Result<PageHandle> BufferPool::Fetch(BlockFile& file, uint64_t block,
 Status BufferPool::FlushAll(BlockFile* file) {
   std::lock_guard<std::mutex> lock(mu_);
   for (Frame& f : frames_) {
-    if (f.valid && f.dirty && (file == nullptr || f.file == file)) {
+    if (f.valid && f.dirty && f.pins == 0 &&
+        (file == nullptr || f.file == file)) {
       MAXRS_RETURN_IF_ERROR(WriteBack(f));
     }
   }

@@ -89,7 +89,11 @@ class BufferPool {
   /// file, the frame is zero-filled without a counted read (fresh append).
   Result<PageHandle> Fetch(BlockFile& file, uint64_t block, bool zero_fill_new = false);
 
-  /// Writes back all dirty blocks of `file` (or all files if nullptr).
+  /// Writes back all dirty, unpinned blocks of `file` (or all files if
+  /// nullptr). A pinned frame is skipped and stays dirty until its eviction
+  /// or a later flush: its holder may still be writing data() without the
+  /// pool lock, so its bytes are not stable to copy out. Call with no pins
+  /// held to flush everything.
   Status FlushAll(BlockFile* file = nullptr);
 
   /// Flushes and forgets all blocks of `file`; must not have pinned pages.

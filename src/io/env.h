@@ -7,17 +7,11 @@
 //
 // Concurrency contract of a BlockFile: distinct handles on the same file
 // may read concurrently, and a single handle may be used from alternating
-// threads provided the caller establishes happens-before between uses —
-// the async read-ahead layer (prefetch_reader.h) does exactly that,
-// handing one reader's co-owned handle back and forth between the
-// consumer thread and a background fetch worker (serialized, never
-// simultaneous), and the write-behind layer (record_io.h) is its dual: a
-// writer's co-owned handle alternates between the producer thread and the
-// flush worker, joined before the next block is issued, so a handle never
-// sees two simultaneous writers either. Implementations must not assume a
-// handle is confined to one thread. Writes are never concurrent with reads
-// of the same blocks at this layer — record files are immutable once
-// Finish()ed.
+// threads provided the caller establishes happens-before between uses (a
+// stream opened by one pool task and drained by another, after a join).
+// Implementations must not assume a handle is confined to one thread.
+// Writes are never concurrent with reads of the same blocks at this layer —
+// record files are immutable once Finish()ed.
 #ifndef MAXRS_IO_ENV_H_
 #define MAXRS_IO_ENV_H_
 

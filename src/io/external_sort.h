@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "io/prefetch_reader.h"
 #include "io/record_io.h"
 #include "io/temp_manager.h"
 #include "util/check.h"
@@ -41,12 +40,6 @@ struct ExternalSortOptions {
   /// Optional worker pool; null runs fully serial. See the header comment
   /// for the parallel execution contract.
   ThreadPool* pool = nullptr;
-
-  /// Double-buffered read-ahead (io/prefetch_reader.h) on every sequential
-  /// input stream: the run-formation scan and each merge fan-in buffer.
-  /// Off by default. Block counts and output are bit-identical either way;
-  /// only the overlap of fetch and compute changes.
-  bool read_ahead = false;
 };
 
 namespace sort_internal {
@@ -61,20 +54,18 @@ struct SortRunInfo {
 
 template <typename T, typename Less>
 Status MergeRuns(Env& env, const std::vector<std::string>& run_names,
-                 const std::string& output_name, Less less,
-                 bool read_ahead = false);
+                 const std::string& output_name, Less less);
 
 template <typename T>
-Status CopyRecordFile(Env& env, const std::string& from, const std::string& to,
-                      bool read_ahead = false);
+Status CopyRecordFile(Env& env, const std::string& from,
+                      const std::string& to);
 
 template <typename T, typename Less>
 Status MergeSortedParts(Env& env, TempFileManager& temps,
                         std::vector<std::string> parts,
                         const std::string& output_name, Less less,
                         size_t fan_in, ThreadPool* pool = nullptr,
-                        uint64_t* passes_out = nullptr,
-                        bool read_ahead = false);
+                        uint64_t* passes_out = nullptr);
 
 /// Sorts the record file `input_name` into `output_name` using Less.
 /// The input file is left untouched. `info`, if non-null, receives run/pass
@@ -100,9 +91,8 @@ Status ExternalSort(Env& env, const std::string& input_name,
   // and written to its (pre-allocated) run file on the pool.
   std::vector<std::string> runs;
   {
-    MAXRS_ASSIGN_OR_RETURN(
-        PrefetchingReader<T> reader,
-        PrefetchingReader<T>::Make(env, input_name, options.read_ahead));
+    MAXRS_ASSIGN_OR_RETURN(RecordReader<T> reader,
+                           RecordReader<T>::Make(env, input_name));
     // Slots are pre-sized so a chunk's sort/write task can start the moment
     // the chunk is cut — reading chunk i+1 overlaps sorting chunk i —
     // without later fills invalidating references held by tasks. The
@@ -156,7 +146,7 @@ Status ExternalSort(Env& env, const std::string& input_name,
   uint64_t passes = 0;
   MAXRS_RETURN_IF_ERROR(MergeSortedParts<T>(env, temps, std::move(runs),
                                             output_name, less, fan_in, pool,
-                                            &passes, options.read_ahead));
+                                            &passes));
   if (info != nullptr) info->merge_passes = passes;
   return Status::OK();
 }
@@ -176,7 +166,7 @@ Status MergeSortedParts(Env& env, TempFileManager& temps,
                         std::vector<std::string> parts,
                         const std::string& output_name, Less less,
                         size_t fan_in, ThreadPool* pool,
-                        uint64_t* passes_out, bool read_ahead) {
+                        uint64_t* passes_out) {
   MAXRS_CHECK_MSG(!parts.empty(), "MergeSortedParts needs at least one part");
   if (fan_in < 2) fan_in = 2;
   uint64_t passes = 0;
@@ -192,8 +182,8 @@ Status MergeSortedParts(Env& env, TempFileManager& temps,
     }
     TaskGroup group(pool);
     for (size_t g = 0; g < groups.size(); ++g) {
-      group.Run([&env, &groups, &outs, &less, g, read_ahead] {
-        return MergeRuns<T>(env, groups[g], outs[g], less, read_ahead);
+      group.Run([&env, &groups, &outs, &less, g] {
+        return MergeRuns<T>(env, groups[g], outs[g], less);
       });
     }
     MAXRS_RETURN_IF_ERROR(group.Wait());
@@ -205,8 +195,7 @@ Status MergeSortedParts(Env& env, TempFileManager& temps,
 
   // Single part and no merge happened: rename by copy (one linear pass).
   if (passes == 0) {
-    MAXRS_RETURN_IF_ERROR(
-        CopyRecordFile<T>(env, parts[0], output_name, read_ahead));
+    MAXRS_RETURN_IF_ERROR(CopyRecordFile<T>(env, parts[0], output_name));
     temps.Release(parts[0]);
   }
   if (passes_out != nullptr) *passes_out = passes;
@@ -214,20 +203,19 @@ Status MergeSortedParts(Env& env, TempFileManager& temps,
 }
 
 /// Merges already-sorted record files into `output_name` (k-way, one block
-/// of memory per input; with `read_ahead`, each input double-buffers its
-/// next block via the shared IoExecutor).
+/// of memory per input).
 template <typename T, typename Less>
 Status MergeRuns(Env& env, const std::vector<std::string>& run_names,
-                 const std::string& output_name, Less less, bool read_ahead) {
+                 const std::string& output_name, Less less) {
   struct Source {
-    PrefetchingReader<T> reader;
+    RecordReader<T> reader;
     T head;
   };
   std::vector<Source> sources;
   sources.reserve(run_names.size());
   for (const std::string& name : run_names) {
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<T> reader,
-                           PrefetchingReader<T>::Make(env, name, read_ahead));
+    MAXRS_ASSIGN_OR_RETURN(RecordReader<T> reader,
+                           RecordReader<T>::Make(env, name));
     Source src{std::move(reader), T{}};
     Status st = src.reader.Read(&src.head);
     if (st.code() == Status::Code::kNotFound) continue;  // empty run
@@ -262,10 +250,10 @@ Status MergeRuns(Env& env, const std::vector<std::string>& run_names,
 
 /// Copies a record file (one linear pass).
 template <typename T>
-Status CopyRecordFile(Env& env, const std::string& from, const std::string& to,
-                      bool read_ahead) {
-  MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<T> reader,
-                         PrefetchingReader<T>::Make(env, from, read_ahead));
+Status CopyRecordFile(Env& env, const std::string& from,
+                      const std::string& to) {
+  MAXRS_ASSIGN_OR_RETURN(RecordReader<T> reader,
+                         RecordReader<T>::Make(env, from));
   MAXRS_ASSIGN_OR_RETURN(RecordWriter<T> writer, RecordWriter<T>::Make(env, to));
   T rec{};
   while (true) {

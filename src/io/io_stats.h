@@ -62,12 +62,9 @@ struct IoStatsSnapshot {
 /// counters; the library only snapshots at quiescent points (before/after a
 /// run), where the values are exact.
 ///
-/// Deferred schedules count at transfer time, not issue time: a read-ahead
-/// prefetch increments blocks_read when the IoExecutor performs it, and a
-/// write-behind flush increments blocks_written when the deferred WriteBlock
-/// runs — but both are joined before their stream's Finish/next-issue, so at
-/// every quiescent point the counts equal the synchronous schedule's
-/// exactly. Streaming channels (io/record_stream.h) add no counts of their
+/// Every stream transfers its blocks synchronously, on the thread that
+/// reads or writes it, so a count is taken exactly when its block moves.
+/// Streaming channels (io/record_stream.h) add no counts of their
 /// own: only their spill files touch the Env, and whether a channel spills
 /// is a pure function of the records produced and the memory cap, keeping
 /// per-query totals schedule-independent. docs/IO_MODEL.md, "Streaming

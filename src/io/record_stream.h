@@ -12,7 +12,7 @@
 //     sequential record stream, with the Read/Next/final_status idiom of
 //     RecordReader so consumers are source-agnostic.
 //   - FileRecordSource<T> / FileRecordSink<T>: the compatibility adapters
-//     over PrefetchingReader / RecordWriter.
+//     over RecordReader / RecordWriter.
 //   - RecordChannel<T>: a SPSC in-memory channel with deterministic
 //     spill-to-Env overflow — the zero-materialization hand-off. The
 //     producer NEVER blocks (it buffers up to the memory cap, then spills
@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "io/env.h"
-#include "io/prefetch_reader.h"
 #include "io/record_io.h"
 #include "util/check.h"
 #include "util/status.h"
@@ -106,22 +105,18 @@ class RecordSink {
   virtual Status Close(const Status& status) = 0;
 };
 
-/// RecordSource over a finished record file, via PrefetchingReader (so the
-/// read_ahead block schedule is available behind the stream seam too).
+/// RecordSource over a finished record file, via RecordReader.
 template <typename T>
 class FileRecordSource final : public RecordSource<T> {
  public:
-  /// Opens `name` in `env`; see PrefetchingReader::Make for the read-ahead
-  /// and executor semantics.
-  static Result<FileRecordSource<T>> Make(Env& env, const std::string& name,
-                                          bool read_ahead = false,
-                                          IoExecutor* executor = nullptr) {
-    auto reader_or = PrefetchingReader<T>::Make(env, name, read_ahead, executor);
+  /// Opens `name` in `env` (RecordReader::Make: reads the header only).
+  static Result<FileRecordSource<T>> Make(Env& env, const std::string& name) {
+    auto reader_or = RecordReader<T>::Make(env, name);
     if (!reader_or.ok()) return {reader_or.status()};
     return {FileRecordSource<T>(std::move(reader_or).value())};
   }
 
-  explicit FileRecordSource(PrefetchingReader<T> reader)
+  explicit FileRecordSource(RecordReader<T> reader)
       : reader_(std::move(reader)) {}
 
   Status Read(T* out) override { return reader_.Read(out); }
@@ -130,20 +125,17 @@ class FileRecordSource final : public RecordSource<T> {
   uint64_t remaining() const { return reader_.remaining(); }
 
  private:
-  PrefetchingReader<T> reader_;
+  RecordReader<T> reader_;
 };
 
-/// RecordSink over a fresh record file, via RecordWriter (so write-behind
-/// is available behind the stream seam too). Close(OK) runs Finish.
+/// RecordSink over a fresh record file, via RecordWriter. Close(OK) runs
+/// Finish.
 template <typename T>
 class FileRecordSink final : public RecordSink<T> {
  public:
-  /// Creates `name` in `env`; see RecordWriter::Make for the write-behind
-  /// and executor semantics.
-  static Result<FileRecordSink<T>> Make(Env& env, const std::string& name,
-                                        bool write_behind = false,
-                                        IoExecutor* executor = nullptr) {
-    auto writer_or = RecordWriter<T>::Make(env, name, write_behind, executor);
+  /// Creates `name` in `env`.
+  static Result<FileRecordSink<T>> Make(Env& env, const std::string& name) {
+    auto writer_or = RecordWriter<T>::Make(env, name);
     if (!writer_or.ok()) return {writer_or.status()};
     return {FileRecordSink<T>(std::move(writer_or).value())};
   }
@@ -209,16 +201,12 @@ class RecordChannel final : public RecordSink<T>, public RecordSource<T> {
 
  public:
   /// The channel spills to `spill_name` in `env` if the stream outgrows
-  /// `memory_cap_bytes`. `write_behind`/`executor` configure the spill
-  /// writer's block schedule (RecordWriter::Make).
-  RecordChannel(Env& env, std::string spill_name, size_t memory_cap_bytes,
-                bool write_behind = false, IoExecutor* executor = nullptr)
+  /// `memory_cap_bytes`.
+  RecordChannel(Env& env, std::string spill_name, size_t memory_cap_bytes)
       : env_(&env),
         spill_name_(std::move(spill_name)),
         cap_(memory_cap_bytes),
-        per_segment_(std::max<size_t>(1, env.block_size() / sizeof(T))),
-        write_behind_(write_behind),
-        executor_(executor) {
+        per_segment_(std::max<size_t>(1, env.block_size() / sizeof(T))) {
     fill_.reserve(per_segment_);
   }
 
@@ -248,7 +236,7 @@ class RecordChannel final : public RecordSink<T>, public RecordSource<T> {
     Status st = status;
     if (st.ok() && !fill_.empty()) st = EmitSegment();
     if (st.ok() && spill_writer_.has_value()) st = spill_writer_->Finish();
-    spill_writer_.reset();  // joins any write-behind flush
+    spill_writer_.reset();
     {
       std::lock_guard<std::mutex> lock(mu_);
       closed_ = true;
@@ -295,8 +283,7 @@ class RecordChannel final : public RecordSink<T>, public RecordSource<T> {
     const size_t seg_bytes = fill_.size() * sizeof(T);
     if (!spilling_ && mem_bytes_enqueued_ + seg_bytes > cap_) {
       spilling_ = true;
-      auto writer_or =
-          RecordWriter<T>::Make(*env_, spill_name_, write_behind_, executor_);
+      auto writer_or = RecordWriter<T>::Make(*env_, spill_name_);
       MAXRS_RETURN_IF_ERROR(writer_or.status());
       spill_created_ = true;
       spill_writer_.emplace(std::move(writer_or).value());
@@ -333,8 +320,6 @@ class RecordChannel final : public RecordSink<T>, public RecordSource<T> {
   std::string spill_name_;
   size_t cap_;
   size_t per_segment_;
-  bool write_behind_;
-  IoExecutor* executor_;
 
   // Producer-confined state (no lock: single producer).
   std::vector<T> fill_;

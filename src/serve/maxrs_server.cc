@@ -14,7 +14,6 @@
 #include "core/merge_sweep.h"
 #include "core/records.h"
 #include "io/external_sort.h"
-#include "io/prefetch_reader.h"
 #include "io/record_io.h"
 #include "io/record_stream.h"
 #include "io/temp_manager.h"
@@ -42,11 +41,9 @@ namespace {
 // with a real sort (correctness over speed on degenerate data).
 Status TransformShardPieces(Env& env, const ShardInfo& shard, double width,
                             double height, const std::string& out,
-                            bool* canonical, bool read_ahead,
-                            const CancelToken* cancel) {
-  MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> reader,
-                         PrefetchingReader<SpatialObject>::Make(
-                             env, shard.y_file, read_ahead));
+                            bool* canonical, const CancelToken* cancel) {
+  MAXRS_ASSIGN_OR_RETURN(RecordReader<SpatialObject> reader,
+                         RecordReader<SpatialObject>::Make(env, shard.y_file));
   MAXRS_ASSIGN_OR_RETURN(RecordWriter<PieceRecord> writer,
                          RecordWriter<PieceRecord>::Make(env, out));
   *canonical = true;
@@ -74,14 +71,11 @@ Status TransformShardPieces(Env& env, const ShardInfo& shard, double width,
 // colliding values are byte-identical and every merge order yields the
 // same file.
 Status BuildShardEdges(Env& env, const ShardInfo& shard, double width,
-                       const std::string& out, bool read_ahead,
-                       const CancelToken* cancel) {
-  MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> left,
-                         PrefetchingReader<SpatialObject>::Make(
-                             env, shard.x_file, read_ahead));
-  MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> right,
-                         PrefetchingReader<SpatialObject>::Make(
-                             env, shard.x_file, read_ahead));
+                       const std::string& out, const CancelToken* cancel) {
+  MAXRS_ASSIGN_OR_RETURN(RecordReader<SpatialObject> left,
+                         RecordReader<SpatialObject>::Make(env, shard.x_file));
+  MAXRS_ASSIGN_OR_RETURN(RecordReader<SpatialObject> right,
+                         RecordReader<SpatialObject>::Make(env, shard.x_file));
   MAXRS_ASSIGN_OR_RETURN(RecordWriter<EdgeRecord> writer,
                          RecordWriter<EdgeRecord>::Make(env, out));
   const double half_w = width / 2.0;
@@ -203,8 +197,8 @@ Status SolveTargetColumn(Env& env, TempFileManager& temps,
                          std::vector<RecordSource<PieceRecord>*> piece_column,
                          std::vector<RecordSource<EdgeRecord>*> edge_column,
                          const Interval& slab, const MaxRSOptions& options,
-                         MaxRSStats* stats, bool write_behind,
-                         std::string* slab_file_out, SlabBest* best_out) {
+                         MaxRSStats* stats, std::string* slab_file_out,
+                         SlabBest* best_out) {
   MergingSource<PieceRecord, decltype(&PieceYLess)> pieces(
       std::move(piece_column), &PieceYLess);
 
@@ -231,9 +225,8 @@ Status SolveTargetColumn(Env& env, TempFileManager& temps,
     MergingSource<EdgeRecord, decltype(&EdgeXLess)> edges(
         std::move(edge_column), &EdgeXLess);
     edge_file = temps.NewName("q_edges");
-    MAXRS_ASSIGN_OR_RETURN(
-        RecordWriter<EdgeRecord> writer,
-        RecordWriter<EdgeRecord>::Make(env, edge_file, write_behind));
+    MAXRS_ASSIGN_OR_RETURN(RecordWriter<EdgeRecord> writer,
+                           RecordWriter<EdgeRecord>::Make(env, edge_file));
     EdgeRecord e{};
     while (edges.Next(&e)) {
       MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
@@ -285,7 +278,7 @@ Status CheckBatchCancel(const std::vector<BatchQuery>& queries) {
 class BatchChannels {
  public:
   BatchChannels(Env& env, TempFileManager& temps, size_t num_queries,
-                size_t num_shards, size_t cap_bytes, bool write_behind)
+                size_t num_shards, size_t cap_bytes)
       : num_shards_(num_shards) {
     pieces_.reserve(num_queries * num_shards * num_shards);
     edges_left_.reserve(num_queries * num_shards * num_shards);
@@ -298,17 +291,14 @@ class BatchChannels {
         for (size_t t = 0; t < num_shards; ++t) {
           const std::string cell = tag + "_" + std::to_string(t);
           pieces_.push_back(std::make_unique<RecordChannel<PieceRecord>>(
-              env, temps.NewName(qtag + "chp" + cell), cap_bytes,
-              write_behind));
+              env, temps.NewName(qtag + "chp" + cell), cap_bytes));
           edges_left_.push_back(std::make_unique<RecordChannel<EdgeRecord>>(
-              env, temps.NewName(qtag + "chl" + cell), cap_bytes,
-              write_behind));
+              env, temps.NewName(qtag + "chl" + cell), cap_bytes));
           edges_right_.push_back(std::make_unique<RecordChannel<EdgeRecord>>(
-              env, temps.NewName(qtag + "chr" + cell), cap_bytes,
-              write_behind));
+              env, temps.NewName(qtag + "chr" + cell), cap_bytes));
         }
         spans_.push_back(std::make_unique<RecordChannel<SpanRecord>>(
-            env, temps.NewName(qtag + "chs" + tag), cap_bytes, write_behind));
+            env, temps.NewName(qtag + "chs" + tag), cap_bytes));
       }
     }
   }
@@ -351,7 +341,7 @@ Status RouteSource(Env& env, BatchChannels& channels,
                    const std::vector<ShardInfo>& shards,
                    const std::vector<double>& bounds,
                    const std::vector<Interval>& ranges, size_t source,
-                   const std::vector<BatchQuery>& queries, bool read_ahead) {
+                   const std::vector<BatchQuery>& queries) {
   const size_t num_shards = shards.size();
   const size_t k = queries.size();
 
@@ -369,9 +359,9 @@ Status RouteSource(Env& env, BatchChannels& channels,
 
   // Pass 1: the shared y-file scan — all k transforms per object.
   Status piece_status = [&]() -> Status {
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> reader,
-                           PrefetchingReader<SpatialObject>::Make(
-                               env, shards[source].y_file, read_ahead));
+    MAXRS_ASSIGN_OR_RETURN(
+        RecordReader<SpatialObject> reader,
+        RecordReader<SpatialObject>::Make(env, shards[source].y_file));
     SpatialObject o{};
     while (reader.Next(&o)) {
       // Expiry unwinds through the close-on-error protocol below, so every
@@ -414,9 +404,9 @@ Status RouteSource(Env& env, BatchChannels& channels,
   // Pass 2: the shared x-file scan — every query's two edge shifts per
   // object, routed by value.
   Status edge_status = [&]() -> Status {
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> reader,
-                           PrefetchingReader<SpatialObject>::Make(
-                               env, shards[source].x_file, read_ahead));
+    MAXRS_ASSIGN_OR_RETURN(
+        RecordReader<SpatialObject> reader,
+        RecordReader<SpatialObject>::Make(env, shards[source].x_file));
     SpatialObject o{};
     while (reader.Next(&o)) {
       MAXRS_RETURN_IF_ERROR(CheckBatchCancel(queries));
@@ -579,8 +569,8 @@ Result<MaxRSResult> CombineQuery(Env& env, TempFileManager& temps,
                                  const std::vector<Interval>& ranges,
                                  const std::vector<std::string>& slab_files,
                                  const std::vector<MaxRSStats>& stats,
-                                 uint64_t input_objects, bool read_ahead,
-                                 bool write_behind, const CancelToken* cancel) {
+                                 uint64_t input_objects,
+                                 const CancelToken* cancel) {
   const size_t num_shards = ranges.size();
   uint64_t num_spans = 0;
   std::string root_file;
@@ -594,9 +584,8 @@ Result<MaxRSResult> CombineQuery(Env& env, TempFileManager& temps,
       for (size_t s : routed) span_sources.push_back(channels.span(q, s));
       MergingSource<SpanRecord, decltype(&SpanYLess)> spans(
           std::move(span_sources), &SpanYLess);
-      MAXRS_ASSIGN_OR_RETURN(
-          RecordWriter<SpanRecord> writer,
-          RecordWriter<SpanRecord>::Make(env, span_file, write_behind));
+      MAXRS_ASSIGN_OR_RETURN(RecordWriter<SpanRecord> writer,
+                             RecordWriter<SpanRecord>::Make(env, span_file));
       SpanRecord span{};
       while (spans.Next(&span)) {
         MAXRS_RETURN_IF_ERROR(CheckCancel(cancel));
@@ -609,7 +598,7 @@ Result<MaxRSResult> CombineQuery(Env& env, TempFileManager& temps,
     root_file = temps.NewName("q_root");
     MAXRS_RETURN_IF_ERROR(MergeSweep(env, ranges, slab_files, span_file,
                                      root_file, SweepObjective::kMaximize,
-                                     read_ahead, write_behind, cancel));
+                                     cancel));
     for (const std::string& slab_file : slab_files) {
       if (!slab_file.empty()) temps.Release(slab_file);
     }
@@ -618,9 +607,8 @@ Result<MaxRSResult> CombineQuery(Env& env, TempFileManager& temps,
 
   core_internal::TopTupleTracker tracker(1);
   {
-    MAXRS_ASSIGN_OR_RETURN(
-        PrefetchingReader<SlabTuple> reader,
-        PrefetchingReader<SlabTuple>::Make(env, root_file, read_ahead));
+    MAXRS_ASSIGN_OR_RETURN(RecordReader<SlabTuple> reader,
+                           RecordReader<SlabTuple>::Make(env, root_file));
     SlabTuple t{};
     while (reader.Next(&t)) {
       MAXRS_RETURN_IF_ERROR(CheckCancel(cancel));
@@ -717,11 +705,8 @@ MaxRSOptions MaxRSServer::MakeQueryOptions(double width, double height,
   query_options.work_prefix = options_.work_prefix;
   // Queries parallelize across workers and across shard subtasks, not
   // inside one slab solve: the serial path is the deterministic one, and
-  // it keeps per-query memory at one M (plus one extra block per open
-  // stream while a read-ahead fetch is in flight — see IO_MODEL.md).
+  // it keeps per-query memory at one M.
   query_options.num_threads = 1;
-  query_options.read_ahead = options_.read_ahead;
-  query_options.write_behind = options_.write_behind;
   query_options.stream_channel_bytes = options_.stream_channel_bytes;
   return query_options;
 }
@@ -1236,8 +1221,7 @@ std::vector<Result<MaxRSResult>> MaxRSServer::ExecuteBatchStreaming(
     // raw pointers into it. Rows of sources never routed never close;
     // consumers only ever merge routed rows, so nobody waits on them.
     BatchChannels channels(env, temps, k, num_shards,
-                           options_.stream_channel_bytes,
-                           options_.write_behind);
+                           options_.stream_channel_bytes);
     std::vector<Status> producer_status(num_shards);
     std::vector<char> is_routed(num_shards, 0);
     std::vector<size_t> routed;  // ascending — the canonical merge order
@@ -1280,8 +1264,7 @@ std::vector<Result<MaxRSResult>> MaxRSServer::ExecuteBatchStreaming(
       for (size_t s : wave) {
         pool_->Submit([&, s, latch] {
           producer_status[s] = RouteSource(env, channels, shards, bounds,
-                                           ranges, s, queries,
-                                           options_.read_ahead);
+                                           ranges, s, queries);
           latch->CountDown();
         });
       }
@@ -1317,7 +1300,7 @@ std::vector<Result<MaxRSResult>> MaxRSServer::ExecuteBatchStreaming(
       return SolveTargetColumn(env, temps, std::move(piece_column),
                                std::move(edge_column), shards[t].x_range,
                                query_options[q], &shard_stats[q][t],
-                               options_.write_behind, &slab_files[q][t], best);
+                               &slab_files[q][t], best);
     };
     // Lets `body(q, group)` schedule the solves of every still-OK query,
     // concurrent across queries, then joins them: ONE TaskGroup PER QUERY — a group no-ops its queued tasks
@@ -1409,8 +1392,7 @@ std::vector<Result<MaxRSResult>> MaxRSServer::ExecuteBatchStreaming(
           per_query[q].ok()
               ? CombineQuery(env, temps, channels, q, routed, ranges,
                              slab_files[q], shard_stats[q],
-                             dataset_.num_objects(), options_.read_ahead,
-                             options_.write_behind, &batch[q]->cancel)
+                             dataset_.num_objects(), &batch[q]->cancel)
               : Result<MaxRSResult>(per_query[q]));
     }
   }  // destroys the channels
@@ -1455,24 +1437,21 @@ Result<MaxRSResult> MaxRSServer::ExecuteGlobalMerge(
       edge_parts[i] = temps.NewName("q_edges");
       bool canonical = true;
       MAXRS_RETURN_IF_ERROR(TransformShardPieces(
-          env, shards[i], width, height, piece_parts[i], &canonical,
-          options_.read_ahead, cancel));
+          env, shards[i], width, height, piece_parts[i], &canonical, cancel));
       if (!canonical) {
         // Sub-ulp coordinate collapse (see TransformShardPieces) broke the
         // derived order; fall back to a real sort for this shard so the
         // stream is canonical and bit-identity with one-shot runs holds
         // even on degenerate data. Never taken for ordinarily-spaced input.
         const std::string resorted = temps.NewName("q_pieces_resort");
-        ExternalSortOptions sort_options{options_.memory_bytes, nullptr,
-                                         options_.read_ahead};
+        ExternalSortOptions sort_options{options_.memory_bytes, nullptr};
         MAXRS_RETURN_IF_ERROR(ExternalSort<PieceRecord>(
             env, piece_parts[i], resorted, PieceYLess, sort_options));
         temps.Release(piece_parts[i]);
         piece_parts[i] = resorted;
       }
-      MAXRS_RETURN_IF_ERROR(BuildShardEdges(env, shards[i], width,
-                                            edge_parts[i],
-                                            options_.read_ahead, cancel));
+      MAXRS_RETURN_IF_ERROR(
+          BuildShardEdges(env, shards[i], width, edge_parts[i], cancel));
     }
 
     // Assemble the two global division-phase inputs. Shards partition the
@@ -1490,11 +1469,9 @@ Result<MaxRSResult> MaxRSServer::ExecuteGlobalMerge(
       piece_file = temps.NewName("q_pieces_sorted");
       edge_file = temps.NewName("q_edges_sorted");
       MAXRS_RETURN_IF_ERROR(MergeSortedParts<PieceRecord>(
-          env, temps, piece_parts, piece_file, PieceYLess, fan_in,
-          /*pool=*/nullptr, /*passes_out=*/nullptr, options_.read_ahead));
+          env, temps, piece_parts, piece_file, PieceYLess, fan_in));
       MAXRS_RETURN_IF_ERROR(MergeSortedParts<EdgeRecord>(
-          env, temps, edge_parts, edge_file, EdgeXLess, fan_in,
-          /*pool=*/nullptr, /*passes_out=*/nullptr, options_.read_ahead));
+          env, temps, edge_parts, edge_file, EdgeXLess, fan_in));
     }
 
     PreparedInput input;

@@ -195,20 +195,6 @@ struct MaxRSServerOptions {
   /// counts stay schedule-independent.
   size_t stream_channel_bytes = 1 << 20;
 
-  /// Write-behind (io/record_io.h) on per-query output streams: spill
-  /// writers, per-shard scratch, and the cross-shard merge output flush
-  /// their data blocks on the shared IoExecutor while the producer keeps
-  /// running — the write-side dual of read_ahead. Answers and block
-  /// counts are bit-identical either way.
-  bool write_behind = false;
-
-  /// Double-buffered read-ahead (io/prefetch_reader.h) on every sequential
-  /// per-query stream: shard routing scans, the cross-shard MergeSweep
-  /// inputs, and the root slab-file scan (plus the global-merge mode's
-  /// stream merges). Answers and per-query block counts are bit-identical
-  /// either way at any shard/worker count.
-  bool read_ahead = false;
-
   /// Shard skipping via the dataset's aggregate index (kPerShard mode
   /// only); see ServePruningMode. Branch-and-bound over the per-shard
   /// weight upper bounds: shards whose bound cannot beat the best

@@ -111,6 +111,24 @@ TEST_F(BufferPoolTest, FlushAllWritesDirtyPages) {
   EXPECT_EQ(env_->stats().Snapshot().blocks_written, 0u);
 }
 
+TEST_F(BufferPoolTest, FlushAllSkipsPinnedFramesUntilReleased) {
+  BufferPool pool(*env_, 4 * 4096);
+  auto p = pool.Fetch(*file_, 3);
+  ASSERT_TRUE(p.ok());
+  p->data()[1] = 'P';
+  p->MarkDirty();
+  env_->stats().Reset();
+  // The holder may still be writing the frame: it stays dirty, unwritten.
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(env_->stats().Snapshot().blocks_written, 0u);
+  p->Release();
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(env_->stats().Snapshot().blocks_written, 1u);
+  std::vector<char> buf(4096);
+  ASSERT_TRUE(file_->ReadBlock(3, buf.data()).ok());
+  EXPECT_EQ(buf[1], 'P');
+}
+
 TEST_F(BufferPoolTest, ZeroFillNewAppendsWithoutRead) {
   BufferPool pool(*env_, 4 * 4096);
   env_->stats().Reset();
@@ -219,8 +237,9 @@ TEST_F(BufferPoolTest, ConcurrentDirtyWritebackKeepsEveryUpdate) {
 
 TEST_F(BufferPoolTest, ConcurrentFetchAndFlushRace) {
   // Dirty fetches racing FlushAll: flush walks every frame and writes back
-  // dirty ones while writers keep pinning and re-dirtying them. No
-  // assertion beyond clean completion — the point is the interleaving
+  // dirty unpinned ones while writers keep pinning and re-dirtying them.
+  // Two writers may share a pin on one block, so each writes its own byte.
+  // No assertion beyond clean completion — the point is the interleaving
   // under TSan.
   BufferPool pool(*env_, 2 * 4096, /*pin_wait_ms=*/2000);
   std::atomic<bool> stop{false};
@@ -235,7 +254,7 @@ TEST_F(BufferPoolTest, ConcurrentFetchAndFlushRace) {
       for (int i = 0; i < 200; ++i) {
         auto p = pool.Fetch(*file_, static_cast<uint64_t>((t + i) % 6));
         if (!p.ok()) continue;  // transient all-pinned is legal here
-        p->data()[1] = static_cast<char>(t);
+        p->data()[1 + t] = static_cast<char>(t);
         p->MarkDirty();
       }
     });

@@ -42,8 +42,7 @@ std::vector<SpatialObject> MakeObjects(const DeterminismCase& c) {
   return objects;
 }
 
-MaxRSOptions OptionsFor(const DeterminismCase& c, size_t num_threads,
-                        bool read_ahead = false) {
+MaxRSOptions OptionsFor(const DeterminismCase& c, size_t num_threads) {
   MaxRSOptions options;
   options.rect_width = c.rect;
   options.rect_height = c.rect;
@@ -51,16 +50,13 @@ MaxRSOptions OptionsFor(const DeterminismCase& c, size_t num_threads,
   options.fanout = c.fanout;
   options.base_case_max_pieces = c.base_max;
   options.num_threads = num_threads;
-  options.read_ahead = read_ahead;
   return options;
 }
 
 MaxRSResult RunAt(const std::vector<SpatialObject>& objects,
-                  const DeterminismCase& c, size_t num_threads,
-                  bool read_ahead = false) {
+                  const DeterminismCase& c, size_t num_threads) {
   auto env = NewMemEnv(512);
-  auto result =
-      RunExactMaxRS(*env, objects, OptionsFor(c, num_threads, read_ahead));
+  auto result = RunExactMaxRS(*env, objects, OptionsFor(c, num_threads));
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.ok() ? *result : MaxRSResult{};
 }
@@ -92,39 +88,6 @@ TEST_P(DeterminismTest, ResultsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(parallel.stats.base_cases, serial.stats.base_cases) << tag;
     EXPECT_EQ(parallel.stats.merges, serial.stats.merges) << tag;
     EXPECT_EQ(parallel.stats.total_spans, serial.stats.total_spans) << tag;
-  }
-}
-
-TEST_P(DeterminismTest, ReadAheadBitIdenticalToSynchronousPath) {
-  // The async read-ahead layer (io/prefetch_reader.h) reschedules fetches,
-  // never the work: with read_ahead on, the result AND the block transfer
-  // counts must match the synchronous serial engine bit-for-bit at every
-  // thread count — the acceptance criterion of the prefetch layer.
-  const DeterminismCase c = GetParam();
-  const auto objects = MakeObjects(c);
-
-  const MaxRSResult serial = RunAt(objects, c, 1, /*read_ahead=*/false);
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    const MaxRSResult prefetched =
-        RunAt(objects, c, threads, /*read_ahead=*/true);
-    const std::string tag = "seed " + std::to_string(c.seed) +
-                            " threads " + std::to_string(threads) +
-                            " read_ahead";
-    EXPECT_EQ(prefetched.total_weight, serial.total_weight) << tag;
-    EXPECT_EQ(prefetched.location.x, serial.location.x) << tag;
-    EXPECT_EQ(prefetched.location.y, serial.location.y) << tag;
-    EXPECT_EQ(prefetched.region.x_lo, serial.region.x_lo) << tag;
-    EXPECT_EQ(prefetched.region.x_hi, serial.region.x_hi) << tag;
-    EXPECT_EQ(prefetched.region.y_lo, serial.region.y_lo) << tag;
-    EXPECT_EQ(prefetched.region.y_hi, serial.region.y_hi) << tag;
-    EXPECT_EQ(prefetched.stats.io.blocks_read, serial.stats.io.blocks_read)
-        << tag;
-    EXPECT_EQ(prefetched.stats.io.blocks_written,
-              serial.stats.io.blocks_written)
-        << tag;
-    EXPECT_EQ(prefetched.stats.base_cases, serial.stats.base_cases) << tag;
-    EXPECT_EQ(prefetched.stats.merges, serial.stats.merges) << tag;
-    EXPECT_EQ(prefetched.stats.total_spans, serial.stats.total_spans) << tag;
   }
 }
 

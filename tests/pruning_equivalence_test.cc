@@ -7,9 +7,9 @@
 // I/O ledger:
 //
 //   - bit-identical answers to un-pruned serving across shard counts
-//     {1, 2, 7, 16, 64} x worker counts {1, 2, 8} x read_ahead on/off,
-//     with per-query block counts deterministic within each configuration
-//     and never above the un-pruned pipeline's;
+//     {1, 2, 7, 16, 64} x worker counts {1, 2, 8}, with per-query block
+//     counts deterministic across worker counts and never above the
+//     un-pruned pipeline's;
 //   - on weight-skewed data with a selective rect, cold queries at >= 16
 //     shards must actually skip shards (shards_pruned > 0 — i.e. open
 //     strictly fewer shards than the shard count) and the cold block count
@@ -87,7 +87,7 @@ void ExpectBitIdentical(const MaxRSResult& a, const MaxRSResult& b) {
   EXPECT_EQ(a.region, b.region);
 }
 
-TEST(PruningEquivalenceTest, MatchesUnprunedAcrossShardWorkerReadAhead) {
+TEST(PruningEquivalenceTest, MatchesUnprunedAcrossShardWorker) {
   constexpr size_t kN = 2816;  // realizes all 64 shards (shard_property_test)
   const uint64_t kSeed = 7;
   for (size_t shards : kShardCounts) {
@@ -117,52 +117,43 @@ TEST(PruningEquivalenceTest, MatchesUnprunedAcrossShardWorkerReadAhead) {
       }
     }
 
-    // Pruned serving at every worker count x read_ahead: bit-identical
-    // answers, block counts never above the un-pruned pipeline's, and
-    // the whole I/O ledger (including the pruning counters)
-    // deterministic across the sub-matrix.
+    // Pruned serving at every worker count: bit-identical answers, block
+    // counts never above the un-pruned pipeline's, and the whole I/O ledger
+    // (including the pruning counters) deterministic across worker counts.
     std::vector<IoStatsSnapshot> pruned_io(2);
     bool first_config = true;
     for (size_t workers : kWorkerCounts) {
-      for (bool read_ahead : {false, true}) {
-        MaxRSServerOptions options = BaseServerOptions(workers);
-        options.read_ahead = read_ahead;
-        ASSERT_EQ(options.pruning_mode, ServePruningMode::kAuto);
-        MaxRSServer server(*env, *handle, options);
-        for (size_t q = 0; q < 2; ++q) {
-          auto served = server.Submit(kRects[q][0], kRects[q][1]);
-          ASSERT_TRUE(served.ok())
-              << served.status().ToString() << " (" << shards << " shards, "
-              << workers << " workers, read_ahead=" << read_ahead << ")";
-          ExpectBitIdentical(*served, oracle[q]);
-          EXPECT_LE(served->stats.io.total(), oracle[q].stats.io.total())
-              << shards << " shards, query " << q
-              << ": pruning must never add block transfers";
-          if (shards < 2) {
-            EXPECT_EQ(served->stats.io.shards_pruned, 0u)
-                << "single-shard serving has nothing to prune";
-          }
-          if (first_config) {
-            pruned_io[q] = served->stats.io;
-          } else {
-            EXPECT_EQ(served->stats.io.blocks_read,
-                      pruned_io[q].blocks_read)
-                << shards << " shards, " << workers
-                << " workers, read_ahead=" << read_ahead << ", query " << q;
-            EXPECT_EQ(served->stats.io.blocks_written,
-                      pruned_io[q].blocks_written)
-                << shards << " shards, " << workers
-                << " workers, read_ahead=" << read_ahead << ", query " << q;
-            EXPECT_EQ(served->stats.io.shards_pruned,
-                      pruned_io[q].shards_pruned)
-                << "plan-time pruning must be schedule-independent";
-            EXPECT_EQ(served->stats.io.bound_skips,
-                      pruned_io[q].bound_skips)
-                << "bound skips must be schedule-independent";
-          }
+      MaxRSServerOptions options = BaseServerOptions(workers);
+      ASSERT_EQ(options.pruning_mode, ServePruningMode::kAuto);
+      MaxRSServer server(*env, *handle, options);
+      for (size_t q = 0; q < 2; ++q) {
+        auto served = server.Submit(kRects[q][0], kRects[q][1]);
+        ASSERT_TRUE(served.ok())
+            << served.status().ToString() << " (" << shards << " shards, "
+            << workers << " workers)";
+        ExpectBitIdentical(*served, oracle[q]);
+        EXPECT_LE(served->stats.io.total(), oracle[q].stats.io.total())
+            << shards << " shards, query " << q
+            << ": pruning must never add block transfers";
+        if (shards < 2) {
+          EXPECT_EQ(served->stats.io.shards_pruned, 0u)
+              << "single-shard serving has nothing to prune";
         }
-        first_config = false;
+        if (first_config) {
+          pruned_io[q] = served->stats.io;
+        } else {
+          EXPECT_EQ(served->stats.io.blocks_read, pruned_io[q].blocks_read)
+              << shards << " shards, " << workers << " workers, query " << q;
+          EXPECT_EQ(served->stats.io.blocks_written,
+                    pruned_io[q].blocks_written)
+              << shards << " shards, " << workers << " workers, query " << q;
+          EXPECT_EQ(served->stats.io.shards_pruned, pruned_io[q].shards_pruned)
+              << "plan-time pruning must be schedule-independent";
+          EXPECT_EQ(served->stats.io.bound_skips, pruned_io[q].bound_skips)
+              << "bound skips must be schedule-independent";
+        }
       }
+      first_config = false;
     }
   }
 }

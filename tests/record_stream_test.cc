@@ -243,7 +243,7 @@ TEST(MergingSourceTest, ByteIdenticalToMaterializedMergeOracle) {
   run_data.push_back({});
   ASSERT_TRUE(WriteRecordFile(*env, "empty", std::vector<Rec>{}).ok());
 
-  ASSERT_TRUE(MergeRuns<Rec>(*env, runs, "oracle", less, false).ok());
+  ASSERT_TRUE(MergeRuns<Rec>(*env, runs, "oracle", less).ok());
   auto oracle_or = ReadRecordFile<Rec>(*env, "oracle");
   ASSERT_TRUE(oracle_or.ok());
 

@@ -496,6 +496,49 @@ TEST(ServeTest, WarmQueryPerformsZeroBlockTransfers) {
   EXPECT_EQ(counters.executed, 1u);
 }
 
+TEST(ServeTest, BufferPoolCutsBlocksWithoutChangingAnswers) {
+  // buffer_pool_bytes routes the dataset's shard-file reads through one
+  // shared BufferPool: answers must not move, a re-read shard block is a
+  // pool hit instead of a counted transfer, and with 0 bytes there is no
+  // pool at all.
+  auto env = MakeEnvWithDataset(nullptr);
+  auto handle = DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(4));
+  ASSERT_TRUE(handle.ok());
+  const double kRects[][2] = {{200, 200}, {300, 150}, {90, 400}, {500, 500}};
+
+  auto run = [&](size_t pool_bytes, std::vector<MaxRSResult>* results,
+                 BufferPoolStats* pool_stats) {
+    MaxRSServerOptions options = ServerOptions(1);
+    options.cache_entries = 0;  // every submit executes
+    options.buffer_pool_bytes = pool_bytes;
+    MaxRSServer server(*env, *handle, options);
+    const IoStatsSnapshot before = env->stats().Snapshot();
+    for (const auto& rect : kRects) {
+      auto r = server.Submit(rect[0], rect[1]);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      results->push_back(r.ok() ? *r : MaxRSResult{});
+    }
+    *pool_stats = server.pool_stats();
+    return (env->stats().Snapshot() - before).total();
+  };
+
+  std::vector<MaxRSResult> unpooled, pooled;
+  BufferPoolStats unpooled_stats, pooled_stats;
+  const uint64_t unpooled_io = run(0, &unpooled, &unpooled_stats);
+  const uint64_t pooled_io = run(4 << 20, &pooled, &pooled_stats);
+
+  ASSERT_EQ(pooled.size(), unpooled.size());
+  for (size_t q = 0; q < pooled.size(); ++q) {
+    ExpectBitIdentical(pooled[q], unpooled[q]);
+  }
+  EXPECT_LT(pooled_io, unpooled_io);
+  EXPECT_GT(pooled_stats.hits, 0u);
+  EXPECT_EQ(unpooled_stats.hits, 0u);
+  EXPECT_EQ(unpooled_stats.misses, 0u);
+  EXPECT_EQ(unpooled_stats.evictions, 0u);
+  EXPECT_EQ(unpooled_stats.writebacks, 0u);
+}
+
 TEST(ServeTest, LruEvictsLeastRecentlyUsedRect) {
   auto env = MakeEnvWithDataset(nullptr);
   auto handle = DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(2));

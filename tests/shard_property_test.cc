@@ -126,63 +126,6 @@ TEST(ShardPropertyTest, BitIdenticalAcrossShardAndWorkerCounts) {
   }
 }
 
-TEST(ShardPropertyTest, ReadAheadBitIdenticalAndIoIdenticalAcrossShards) {
-  // The async read-ahead layer must be invisible in everything but wall
-  // time: per query, the answer AND the IoStats block counts match the
-  // synchronous server bit-for-bit at every shard and worker count (the
-  // prefetch layer's acceptance criterion on the serve path, pinning the
-  // shard routing scans, part merges, cross-shard MergeSweep, and root
-  // scan all at once).
-  constexpr size_t kN = 2816;
-  const double kRects[][2] = {{260, 140}, {800, 800}};
-  const uint64_t kSeed = 3;
-  for (size_t shards : {size_t{1}, size_t{7}, size_t{16}}) {
-    // Synchronous reference answers + per-query I/O on a fresh env.
-    std::vector<MaxRSResult> reference;
-    {
-      auto env = MakeEnv(kSeed, kN);
-      auto handle =
-          DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(shards));
-      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-      ASSERT_EQ(handle->shards().size(), shards);
-      MaxRSServerOptions options = ServerOptions(1);
-      options.cache_entries = 0;  // every submit pays its full pipeline
-      MaxRSServer server(*env, *handle, options);
-      for (const auto& rect : kRects) {
-        auto r = server.Submit(rect[0], rect[1]);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-        reference.push_back(*r);
-      }
-    }
-
-    for (size_t workers : kWorkerCounts) {
-      auto env = MakeEnv(kSeed, kN);
-      DatasetHandleOptions ingest = IngestOptions(shards);
-      ingest.read_ahead = true;  // ingest passes double-buffer too
-      auto handle = DatasetHandle::Ingest(*env, kDatasetFile, ingest);
-      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-      ASSERT_EQ(handle->shards().size(), shards);
-      MaxRSServerOptions options = ServerOptions(workers);
-      options.cache_entries = 0;
-      options.read_ahead = true;
-      MaxRSServer server(*env, *handle, options);
-      for (size_t q = 0; q < 2; ++q) {
-        auto served = server.Submit(kRects[q][0], kRects[q][1]);
-        ASSERT_TRUE(served.ok())
-            << served.status().ToString() << " (" << shards << " shards, "
-            << workers << " workers, read_ahead)";
-        ExpectBitIdentical(*served, reference[q]);
-        EXPECT_EQ(served->stats.io.blocks_read,
-                  reference[q].stats.io.blocks_read)
-            << shards << " shards, " << workers << " workers, query " << q;
-        EXPECT_EQ(served->stats.io.blocks_written,
-                  reference[q].stats.io.blocks_written)
-            << shards << " shards, " << workers << " workers, query " << q;
-      }
-    }
-  }
-}
-
 TEST(ShardPropertyTest, PerQueryIoStaysInTheLinearClass) {
   // 12000 objects: large enough that data volume (not per-file block
   // constants) carries the comparison, small enough for a unit test. The
